@@ -236,11 +236,11 @@ def _binding_solve(
 
     Stationarity makes p_j = s x_j ghat_j^(-1/alpha) with ghat the gradient
     of the squared root voltage and s = mu^(-1/alpha); the constraint binds,
-    which pins s.  Alternating a direction refresh with a scalar solve for
-    s needs one gradient per outer step instead of one per inner sweep, so
-    it is several times faster than the dual search it must agree with
-    (`_dual_solve`); the simulator falls back to the dual search if this
-    iteration fails to settle.
+    which pins s.  Alternating a direction refresh with a scalar Newton
+    solve for s takes one gradient per outer step plus one per Newton step
+    (about 18 a solve in an overloaded simulation); that is several times
+    faster than the dual search it must agree with (`_dual_solve`), which
+    the simulator falls back to if this iteration fails to settle.
     """
     n = cfg.n_stations
     active = [j for j in range(n) if counts[j] > 0]
@@ -254,7 +254,7 @@ def _binding_solve(
     if p_hint is not None and len(p_hint) == n and all(
         p_hint[j] > 0.0 for j in active
     ):
-        p = [float(p_hint[j]) if j in active else 0.0 for j in range(n)]
+        p = [float(p_hint[j]) if counts[j] > 0 else 0.0 for j in range(n)]
     else:
         seed = alpha_fair_lindist(counts, spec, cfg)
         p = list(seed.p)
@@ -417,13 +417,13 @@ def _dual_solve(
             / cfg.w_headroom
         ) ** spec.alpha
     if p_hint is not None and len(p_hint) == n:
-        p_cur = [max(float(p_hint[j]), 0.0) if j in active else 0.0 for j in range(n)]
+        p_cur = [max(float(p_hint[j]), 0.0) if counts[j] > 0 else 0.0 for j in range(n)]
         for j in active:
             if p_cur[j] <= 0.0:
                 p_cur[j] = counts[j] * (mu_seed * w[j]) ** (-inv_alpha)
     else:
         p_cur = [
-            counts[j] * (mu_seed * w[j]) ** (-inv_alpha) if j in active else 0.0
+            counts[j] * (mu_seed * w[j]) ** (-inv_alpha) if counts[j] > 0 else 0.0
             for j in range(n)
         ]
 

@@ -357,7 +357,9 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
     """Unvalidated fused pass: V[N] and its gradient as a plain list.
 
     Shared by `distflow_gradient` and the allocator's inner loop, which
-    calls it thousands of times per simulated trajectory.
+    calls it thousands of times per simulated trajectory.  A forward voltage
+    pass, then one O(N) adjoint pass in a = dV[N]/dV[j+1], j = N-1 .. 0:
+    g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.
     """
     n = len(powers)
     v = [0.0] * (n + 1)
@@ -365,22 +367,20 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
     v[1] = 1.0 + r * powers[0]
     for j in range(1, n):
         v[j + 1] = 2.0 * v[j] - v[j - 1] + r * powers[j] / v[j]
-    g_prev = [0.0] * n  # dV[0]/dp = 0
-    g_cur = [0.0] * n
-    g_cur[0] = r  # V[1] = 1 + r p[0]
-    for i in range(1, n):
-        vi = v[i]
-        damp = r * powers[i] / (vi * vi)
-        g_next = [(2.0 - damp) * g_cur[j] - g_prev[j] for j in range(n)]
-        g_next[i] += r / vi
-        g_prev, g_cur = g_cur, g_next
-    return v[n], g_cur
+    g = [0.0] * n
+    a, a_prev = 1.0, 0.0  # dV[N]/dV[j+1] and dV[N]/dV[j+2]
+    for j in range(n - 1, 0, -1):
+        vj = v[j]
+        g[j] = a * r / vj
+        a, a_prev = (2.0 - r * powers[j] / (vj * vj)) * a - a_prev, a
+    g[0] = a * r  # V[1] = 1 + r p[0]
+    return v[n], g
 
 
 def distflow_gradient(p: "PowerAllocation | Sequence[float]", r: float) -> tuple[float, ...]:
     """Gradient of the root-side Distflow voltage V[N] in each station power.
 
-    Forward-mode differentiation of the recursion; entry j is dV[N]/dp[j].
+    One reverse (adjoint) sweep over the recursion; entry j is dV[N]/dp[j].
     All entries are positive: pushing power anywhere raises the drop.
     """
     if not (math.isfinite(r) and r > 0.0):

@@ -146,10 +146,10 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
     Linearized allocations are a closed form and get evaluated inline.
-    Distflow allocations go through the dual search; solved states are
-    cached under their gcd-normalized occupancy (the optimum only depends
-    on the ray through x), and cache misses warm-start from the previous
-    event's solution, which is one vehicle away.
+    Distflow allocations go through the binding solve (dual search as the
+    fallback); solved states are cached under their gcd-normalized
+    occupancy (the optimum only depends on the ray through x), and cache
+    misses warm-start from the previous event's solution, one vehicle away.
     """
     net = cfg.network
     n = net.n_stations

@@ -32,6 +32,28 @@ def voltage_profile_mp(powers, r, dps: int = 50):
         return [float(u) for u in profile]
 
 
+def distflow_gradient_forward(powers, r):
+    """dV[N]/dp by forward-mode differentiation, O(N^2).
+
+    The whole gradient rides along with every recursion step; the package
+    computes the same derivative with one reverse sweep.
+    """
+    n = len(powers)
+    v = [1.0, 1.0 + r * powers[0]]
+    for j in range(1, n):
+        v.append(2.0 * v[j] - v[j - 1] + r * powers[j] / v[j])
+    g_prev = [0.0] * n  # dV[0]/dp = 0
+    g_cur = [0.0] * n
+    g_cur[0] = r  # V[1] = 1 + r p[0]
+    for i in range(1, n):
+        vi = v[i]
+        damp = r * powers[i] / (vi * vi)
+        g_next = [(2.0 - damp) * g_cur[j] - g_prev[j] for j in range(n)]
+        g_next[i] += r / vi
+        g_prev, g_cur = g_cur, g_next
+    return tuple(g_cur)
+
+
 def _utility_grid(p: np.ndarray, counts, alpha: float) -> np.ndarray:
     """Sum of per-station utilities over a (m, n) batch of allocations."""
     total = np.zeros(p.shape[0])

@@ -23,7 +23,7 @@ from linestab.powerflow import (
     lindist_squared_voltages,
     lindist_weighted_load,
 )
-from oracles import voltage_profile_mp
+from oracles import distflow_gradient_forward, voltage_profile_mp
 
 powers_st = st.lists(st.floats(0.0, 0.05), min_size=1, max_size=10)
 resistance_st = st.floats(0.05, 2.0)
@@ -203,11 +203,28 @@ class TestGradient:
     def test_entries_positive(self, p, r):
         assert all(g > 0.0 for g in distflow_gradient(p, r))
 
+    @given(
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+        r=resistance_st,
+        a=st.floats(0.0, 1.9),
+    )
+    def test_adjoint_matches_forward_mode(self, shares, r, a):
+        # every load at most a / (r N^2) with a < 2: below the uniform blow-up
+        n = len(shares)
+        p = [u * a / (r * n * n) for u in shares]
+        grad = distflow_gradient(p, r)
+        assert grad == pytest.approx(distflow_gradient_forward(p, r), rel=1e-12, abs=0.0)
+
+    def test_single_station_gradient_is_resistance(self):
+        # V[1] = 1 + r p[0] whatever the load
+        assert distflow_gradient([0.3], 0.7) == distflow_gradient_forward([0.3], 0.7) == (0.7,)
+
     def test_zero_load_gradient_counts_segments(self):
         # with no load the derivative of V[N] in p[j] is r (N - j)
         r = 0.7
         grad = distflow_gradient([0.0] * 5, r)
         assert grad == pytest.approx(tuple(r * (5 - j) for j in range(5)), rel=1e-15)
+        assert grad == pytest.approx(distflow_gradient_forward([0.0] * 5, r), rel=1e-15)
 
     def test_empty_allocation(self):
         assert distflow_gradient((), 1.0) == ()
