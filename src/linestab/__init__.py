@@ -24,7 +24,6 @@ from .powerflow import (
     PowerAllocation,
     PowerModel,
     VoltageProfile,
-    distflow_double_sum,
     distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
@@ -40,7 +39,7 @@ from .simulator import (
     simulate,
     stability_probe,
 )
-from .specfun import OdeSolutionParams, erfi, f0, f0_inverse, solve_ode, u_inverse
+from .specfun import erfi, f0, f0_inverse, u_inverse
 from .stability import (
     ConvergenceReport,
     NewtonFailure,
@@ -65,7 +64,6 @@ __all__ = [
     "NetworkConfig",
     "NewtonFailure",
     "NewtonTrace",
-    "OdeSolutionParams",
     "PowerAllocation",
     "PowerModel",
     "ProbeRow",
@@ -77,7 +75,6 @@ __all__ = [
     "alpha_fair_lindist",
     "continuum_voltage",
     "convergence_report",
-    "distflow_double_sum",
     "distflow_from_root",
     "distflow_gradient",
     "distflow_sensitivity",
@@ -95,7 +92,6 @@ __all__ = [
     "newton_solve_a",
     "ratio_P",
     "simulate",
-    "solve_ode",
     "stability_probe",
     "u_inverse",
 ]

@@ -34,13 +34,11 @@ __all__ = [
     "PowerAllocation",
     "PowerModel",
     "VoltageProfile",
-    "distflow_double_sum",
     "distflow_from_root",
     "distflow_gradient",
     "distflow_sensitivity",
     "distflow_sensitivity_profile",
     "distflow_voltages",
-    "distflow_w_recursion",
     "feasible",
     "lindist_squared_voltages",
     "lindist_weighted_load",
@@ -205,51 +203,6 @@ def distflow_from_root(v0: float, p: "PowerAllocation | Sequence[float]", r: flo
 def distflow_voltages(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
     """Distflow profile with the reference far-end voltage V[0] = 1."""
     return distflow_from_root(1.0, p, r)
-
-
-def distflow_w_recursion(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
-    """Distflow in squared-voltage form, one diagonal and one off-diagonal track.
-
-    Same trajectory as `distflow_voltages` up to rounding; kept as an
-    independent route for consistency checks.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-    powers = _as_powers(p)
-    n = len(powers)
-    w_diag = [0.0] * (n + 1)
-    w_off = [0.0] * n
-    w_diag[0] = 1.0
-    if n >= 1:
-        w_off[0] = 1.0 + r * powers[0]
-    for j in range(1, n):
-        w_diag[j] = w_off[j - 1] ** 2 / w_diag[j - 1]
-        w_off[j] = 2.0 * w_diag[j] - w_off[j - 1] + r * powers[j]
-    if n >= 1:
-        w_diag[n] = w_off[n - 1] ** 2 / w_diag[n - 1]
-    v = tuple(math.sqrt(x) for x in w_diag)
-    return VoltageProfile(v=v, w_diag=tuple(w_diag), w_off=tuple(w_off))
-
-
-def distflow_double_sum(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
-    """Distflow voltages through the summed form of the recursion.
-
-    V[j] = 1 + sum_{m < j} sum_{i <= m} r p[i] / V[i].  Algebraically equal
-    to `distflow_voltages`; numerically independent (partial sums are
-    compensated), which is what makes it useful as a cross-check.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-    powers = _as_powers(p)
-    n = len(powers)
-    v = [1.0]
-    inner_terms: list[float] = []  # r p[i] / V[i]
-    partials: list[float] = []  # sum_{i <= m} of the above
-    for j in range(1, n + 1):
-        inner_terms.append(r * powers[j - 1] / v[j - 1])
-        partials.append(math.fsum(inner_terms))
-        v.append(1.0 + math.fsum(partials))
-    return VoltageProfile.from_voltages(v)
 
 
 def lindist_weighted_load(p: "PowerAllocation | Sequence[float]") -> float:

@@ -25,13 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocator import (
-    AllocationError,
-    FairnessSpec,
-    _binding_solve,
-    _dual_solve,
-    _RecursionOverflow,
-)
+from .allocator import AllocationError, FairnessSpec, _binding_solve
 from .powerflow import NetworkConfig, PowerModel
 
 __all__ = [
@@ -146,10 +140,10 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
     Linearized allocations are a closed form and get evaluated inline.
-    Distflow allocations go through the binding solve (dual search as the
-    fallback); solved states are cached under their gcd-normalized
-    occupancy (the optimum only depends on the ray through x), and cache
-    misses warm-start from the previous event's solution, one vehicle away.
+    Distflow allocations go through the binding solve; solved states are
+    cached under their gcd-normalized occupancy (the optimum only depends
+    on the ray through x), and cache misses warm-start from the previous
+    event's solution, one vehicle away.
     """
     net = cfg.network
     n = net.n_stations
@@ -177,29 +171,17 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
 
     cache: dict[tuple[int, ...], tuple[list[float], float]] = {}
     hint_p: "list[float] | None" = None
-    # the dual scales like (sum x)^alpha along a ray, so carry it normalized
-    hint_nu: "float | None" = None
-    alpha = cfg.fairness.alpha
 
     def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
-        nonlocal hint_p, hint_nu
+        nonlocal hint_p
         key = _normalize(x)
         hit = cache.get(key)
         if hit is not None:
             return hit
         if not any(key):
             return zeros
-        total = sum(key)
-        try:
-            p_tuple, mu = _binding_solve(key, cfg.fairness, net, p_hint=hint_p)
-        except (AllocationError, _RecursionOverflow):
-            mu_hint = None if hint_nu is None else hint_nu * total**alpha
-            p_tuple, mu = _dual_solve(
-                key, cfg.fairness, net, mu_hint=mu_hint, p_hint=hint_p
-            )
-        p = list(p_tuple)
-        entry = (p, math.fsum(p))
-        hint_p, hint_nu = p, mu / total**alpha
+        hint_p = list(_binding_solve(key, cfg.fairness, net, p_hint=hint_p))
+        entry = (hint_p, math.fsum(hint_p))
         if len(cache) < 200_000:  # states mostly repeat near the origin
             cache[key] = entry
         return entry

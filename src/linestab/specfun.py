@@ -8,24 +8,20 @@ which is defined implicitly through the imaginary error function
     erfi(x) = (2/sqrt(pi)) * int_0^x exp(u^2) du.
 
 This module keeps the function zoo small: erfi, the inverse u_inverse of
-x -> sqrt(2) * int_0^x exp(u^2) du, the base solution f0 = exp(u_inverse^2)
-with its inverse, and the constructor that maps (k, y0, w0) to the scaled
-solution parameters.
+x -> sqrt(2) * int_0^x exp(u^2) du, and the base solution
+f0 = exp(u_inverse^2) with its inverse.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 __all__ = [
     "ERFI_ARG_MAX",
-    "OdeSolutionParams",
     "erfi",
     "f0",
     "f0_inverse",
-    "solve_ode",
     "u_inverse",
 ]
 
@@ -152,44 +148,3 @@ def f0_inverse(y: float) -> float:
     if not math.isfinite(y) or y < 1.0:
         raise ValueError(f"f0_inverse expects y >= 1, got {y!r}")
     return _SQRT_HALF_PI * erfi(math.sqrt(math.log(y)))
-
-
-@dataclass(frozen=True)
-class OdeSolutionParams:
-    """Parameters (alpha, beta, gamma) with f(t) = gamma * f0(alpha + beta t).
-
-    Solves f'' f = k, f(0) = y0, f'(0) = w0.  The scaling identities
-    gamma * beta = sqrt(k) and gamma * f0(alpha) = y0 hold by construction.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    k: float
-    y0: float
-    w0: float
-
-    def __call__(self, t: float) -> float:
-        return self.gamma * f0(self.alpha + self.beta * t)
-
-
-def solve_ode(k: float, y0: float, w0: float) -> OdeSolutionParams:
-    """Reduce f'' f = k with positive initial data to shifted/scaled f0.
-
-    Args:
-        k: right hand side constant, k > 0.
-        y0: initial value f(0), y0 > 0.
-        w0: initial slope f'(0), w0 >= 0.
-    """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive, got {k!r}")
-    if not (math.isfinite(y0) and y0 > 0.0):
-        raise ValueError(f"y0 must be positive, got {y0!r}")
-    if not (math.isfinite(w0) and w0 >= 0.0):
-        raise ValueError(f"w0 must be nonnegative, got {w0!r}")
-    # energy integral: f'^2 = w0^2 + 2k log(f / y0) pins the shift
-    s = w0 * w0 / (2.0 * k)
-    alpha = _SQRT_HALF_PI * erfi(w0 / math.sqrt(2.0 * k))
-    beta = math.sqrt(k) / y0 * math.exp(s)
-    gamma = y0 * math.exp(-s)
-    return OdeSolutionParams(alpha=alpha, beta=beta, gamma=gamma, k=k, y0=y0, w0=w0)

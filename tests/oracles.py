@@ -2,15 +2,33 @@
 
 Everything here is deliberately written the slow, obvious way and in a
 different style from the package internals (numpy vectorization, mpmath
-big-float arithmetic, generic grid search) so that agreement between the
-two routes is meaningful evidence rather than a tautology.
+big-float arithmetic, generic grid search, the squared-voltage and summed
+forms of the recursion, a dual-multiplier search for the fair split) so
+that agreement between the two routes is meaningful evidence rather than
+a tautology.
 """
 
 import math
+from typing import Sequence
 
 import mpmath
 import numpy as np
 from scipy import integrate
+
+from linestab.allocator import (
+    AllocationError,
+    FairnessSpec,
+    QueueState,
+    _as_counts,
+    _lin_weights,
+)
+from linestab.powerflow import (
+    NetworkConfig,
+    PowerAllocation,
+    VoltageProfile,
+    _as_powers,
+    _root_voltage_and_gradient,
+)
 
 
 def erfi_quadrature(x: float) -> float:
@@ -52,6 +70,52 @@ def distflow_gradient_forward(powers, r):
         g_next[i] += r / vi
         g_prev, g_cur = g_cur, g_next
     return tuple(g_cur)
+
+
+def distflow_w_recursion(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
+    """Distflow in squared-voltage form, one diagonal and one off-diagonal track.
+
+    Same trajectory as `distflow_voltages` up to rounding; kept as an
+    independent route for consistency checks.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"resistance must be positive, got {r!r}")
+    powers = _as_powers(p)
+    n = len(powers)
+    w_diag = [0.0] * (n + 1)
+    w_off = [0.0] * n
+    w_diag[0] = 1.0
+    if n >= 1:
+        w_off[0] = 1.0 + r * powers[0]
+    for j in range(1, n):
+        w_diag[j] = w_off[j - 1] ** 2 / w_diag[j - 1]
+        w_off[j] = 2.0 * w_diag[j] - w_off[j - 1] + r * powers[j]
+    if n >= 1:
+        w_diag[n] = w_off[n - 1] ** 2 / w_diag[n - 1]
+    v = tuple(math.sqrt(x) for x in w_diag)
+    return VoltageProfile(v=v, w_diag=tuple(w_diag), w_off=tuple(w_off))
+
+
+def distflow_double_sum(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
+    """Distflow voltages through the summed form of the recursion.
+
+    V[j] = 1 + sum_{m < j} sum_{i <= m} r p[i] / V[i].  Algebraically equal
+    to `distflow_voltages`; numerically independent (partial sums are
+    compensated), which is what makes it useful as a cross-check.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"resistance must be positive, got {r!r}")
+    powers = _as_powers(p)
+    n = len(powers)
+    v = [1.0]
+    inner_terms: list[float] = []  # r p[i] / V[i]
+    partials: list[float] = []  # sum_{i <= m} of the above
+    for j in range(1, n + 1):
+        inner_terms.append(r * powers[j - 1] / v[j - 1])
+        partials.append(math.fsum(inner_terms))
+        v.append(1.0 + math.fsum(partials))
+    return VoltageProfile.from_voltages(v)
+
 
 
 def _utility_grid(p: np.ndarray, counts, alpha: float) -> np.ndarray:
@@ -162,3 +226,220 @@ def grid_search_allocation(counts, alpha: float, cfg, model: str, rounds: int = 
                 lo_box[k] = logs[k] - cells[k]
                 hi_box[k] = logs[k] + cells[k]
     return tuple(best)
+
+
+class _RecursionOverflow(Exception):
+    """Loads so large the forward recursion left the representable range."""
+
+
+def _stationarity_sweep(
+    p: list[float],
+    mu: float,
+    counts: tuple[int, ...],
+    active: list[int],
+    inv_alpha: float,
+    r: float,
+    w_limit: float,
+    max_sweeps: int = 300,
+) -> tuple[list[float], float, bool]:
+    """Fixed point of p_j = x_j (mu g_j(p))^(-1/alpha) at fixed mu.
+
+    Returns (allocation, feasibility slack there, settled flag).  The
+    iteration runs on log p: the bare map oscillates (raising p raises the
+    gradient, which lowers the next target) and for alpha < 1 the targets
+    swing over decades, so linear relaxation cannot hold it.  In log
+    coordinates steps are clamped and relaxed per component by
+    1/(1 - sigma_j), sigma_j being the map slope estimated from
+    consecutive sweeps; that keeps the iteration contractive even where
+    the bare slope is below -1.  A seed past blow-up is shrunk into range
+    (V(eps p) -> 1), and steps whose landing point leaves the
+    representable range are halved, so no starting point can misclassify
+    a feasible mu.  When the fixed point does not settle the last state
+    still carries usable sign information: slack < 0 iff the iteration
+    stagnated past the voltage limit, which is what the dual bracketing
+    needs.
+    """
+    n = len(p)
+    theta = {j: 1.0 for j in active}
+    logt = [0.0] * n
+    v_n, grad = _root_voltage_and_gradient(p, r)
+    shrink = 0
+    while not math.isfinite(v_n) or any(grad[j] <= 0.0 for j in active):
+        shrink += 1
+        if shrink > 100:
+            raise _RecursionOverflow
+        for j in active:
+            p[j] *= 0.0625
+        v_n, grad = _root_voltage_and_gradient(p, r)
+    logp = [math.log(p[j]) if counts[j] > 0 else 0.0 for j in range(n)]
+    prev_lp: "list[float] | None" = None
+    prev_lt: "list[float] | None" = None
+    for _ in range(max_sweeps):
+        log_mu_v = math.log(2.0 * v_n * mu)
+        resid = 0.0
+        for j in active:
+            logt[j] = math.log(counts[j]) - inv_alpha * (log_mu_v + math.log(grad[j]))
+            diff = abs(logt[j] - logp[j])
+            if diff > resid:
+                resid = diff
+        if resid < 1e-13:
+            return p, w_limit - v_n * v_n, True
+        if prev_lp is not None:
+            for j in active:
+                dp = logp[j] - prev_lp[j]
+                if dp != 0.0:
+                    sigma = min((logt[j] - prev_lt[j]) / dp, 0.0)
+                    theta[j] = min(max(1.0 / (1.0 - sigma), 0.02), 1.0)
+        prev_lp, prev_lt = list(logp), list(logt)
+        scale = 1.0
+        for _ in range(60):
+            trial_lp = list(logp)
+            for j in active:
+                step = logt[j] - logp[j]
+                if step > 4.0:
+                    step = 4.0
+                elif step < -4.0:
+                    step = -4.0
+                trial_lp[j] += scale * theta[j] * step
+            trial_p = [math.exp(lp) if counts[j] > 0 else 0.0 for j, lp in enumerate(trial_lp)]
+            v_try, g_try = _root_voltage_and_gradient(trial_p, r)
+            if math.isfinite(v_try) and all(g_try[j] > 0.0 for j in active):
+                logp, p, v_n, grad = trial_lp, trial_p, v_try, g_try
+                break
+            scale *= 0.5
+        else:
+            break
+    return p, w_limit - v_n * v_n, False
+
+
+
+def _dual_solve(
+    x: "QueueState | Sequence[int]",
+    spec: FairnessSpec,
+    cfg: NetworkConfig,
+    tol: float = 1e-9,
+    mu_hint: "float | None" = None,
+    p_hint: "Sequence[float] | None" = None,
+) -> tuple[tuple[float, ...], float]:
+    """Distflow fair split by searching the dual multiplier; returns (p, mu).
+
+    For fixed mu the stationarity condition p_j = x_j (mu g_j(p))^(-1/alpha)
+    is a fixed point in p (`_stationarity_sweep`); mu is bracketed
+    geometrically and then driven to the value that makes the voltage
+    constraint bind by secant steps safeguarded with log-space bisection.
+    ``mu_hint`` and ``p_hint`` warm-start the search.
+    """
+    counts = _as_counts(x)
+    if len(counts) != cfg.n_stations:
+        raise ValueError(f"state has {len(counts)} entries for {cfg.n_stations} stations")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    n = cfg.n_stations
+    if all(v == 0 for v in counts):
+        return (0.0,) * n, 0.0
+    active = [j for j in range(n) if counts[j] > 0]
+    inv_alpha = 1.0 / spec.alpha
+    r = cfg.resistance
+    w_limit = cfg.w_limit
+
+    # linearized closed form seeds both mu and p; at p = 0 the Distflow
+    # gradient equals the linearized weights, so the seed is already close
+    w = _lin_weights(cfg)
+    if mu_hint is not None and mu_hint > 0.0 and math.isfinite(mu_hint):
+        mu_seed = mu_hint
+    else:
+        mu_seed = (
+            math.fsum(counts[j] * w[j] ** (1.0 - inv_alpha) for j in active)
+            / cfg.w_headroom
+        ) ** spec.alpha
+    if p_hint is not None and len(p_hint) == n:
+        p_cur = [max(float(p_hint[j]), 0.0) if counts[j] > 0 else 0.0 for j in range(n)]
+        for j in active:
+            if p_cur[j] <= 0.0:
+                p_cur[j] = counts[j] * (mu_seed * w[j]) ** (-inv_alpha)
+    else:
+        p_cur = [
+            counts[j] * (mu_seed * w[j]) ** (-inv_alpha) if counts[j] > 0 else 0.0
+            for j in range(n)
+        ]
+
+    evals = 0
+
+    def try_mu(mu: float, p_start: list[float]) -> tuple[list[float], float, bool]:
+        nonlocal evals
+        evals += 1
+        try:
+            return _stationarity_sweep(
+                list(p_start), mu, counts, active, inv_alpha, r, w_limit
+            )
+        except (_RecursionOverflow, OverflowError):
+            # mu far too small: powers blew past the representable range
+            return list(p_start), -math.inf, False
+
+    p_cur, slack, settled = try_mu(mu_seed, p_cur)
+    if settled and abs(slack) <= tol:
+        return tuple(p_cur), mu_seed
+
+    # bracket: slack is increasing in mu (larger price, smaller powers)
+    mu_lo, slack_lo = (mu_seed, slack) if slack < 0.0 else (None, None)
+    mu_hi, slack_hi = (mu_seed, slack) if slack > 0.0 else (None, None)
+    mu, factor = mu_seed, 4.0
+    while mu_lo is None or mu_hi is None:
+        mu = mu * factor if mu_hi is None else mu / factor
+        if not (1e-300 < mu < 1e300) or evals > 200:
+            raise AllocationError(
+                "failed to bracket the dual multiplier",
+                {"state": counts, "alpha": spec.alpha, "mu_last": mu, "evals": evals},
+            )
+        p_cur, slack, settled = try_mu(mu, p_cur)
+        if settled and abs(slack) <= tol:
+            return tuple(p_cur), mu
+        if slack < 0.0:
+            mu_lo, slack_lo = mu, slack
+        else:
+            mu_hi, slack_hi = mu, slack
+
+    # secant in log mu, safeguarded by bisection on the bracket
+    prev = (math.log(mu_lo), slack_lo)
+    last = (math.log(mu_hi), slack_hi)
+    while evals <= 300:
+        l_lo, l_hi = math.log(mu_lo), math.log(mu_hi)
+        if last[1] != prev[1] and math.isfinite(last[1]) and math.isfinite(prev[1]):
+            l_next = last[0] - last[1] * (last[0] - prev[0]) / (last[1] - prev[1])
+        else:
+            l_next = 0.5 * (l_lo + l_hi)
+        if not l_lo < l_next < l_hi:
+            l_next = 0.5 * (l_lo + l_hi)
+        mu = math.exp(l_next)
+        p_cur, slack, settled = try_mu(mu, p_cur)
+        if settled and abs(slack) <= tol:
+            return tuple(p_cur), mu
+        if slack < 0.0:
+            mu_lo, slack_lo = mu, slack
+        else:
+            mu_hi, slack_hi = mu, slack
+        prev, last = last, (l_next, slack)
+        if mu_hi / mu_lo - 1.0 < 1e-15:
+            break
+
+    # bracket pinched without a settled probe: the fixed point converges
+    # slowly there, so grant one generous last pass at the midpoint
+    mu = math.sqrt(mu_lo * mu_hi)
+    try:
+        p_cur, slack, settled = _stationarity_sweep(
+            list(p_cur), mu, counts, active, inv_alpha, r, w_limit, max_sweeps=5000
+        )
+        if settled and abs(slack) <= tol:
+            return tuple(p_cur), mu
+    except (_RecursionOverflow, OverflowError):
+        pass
+    raise AllocationError(
+        "dual search did not reach the requested slack tolerance",
+        {
+            "state": counts,
+            "alpha": spec.alpha,
+            "bracket": (mu_lo, mu_hi),
+            "slack": (slack_lo, slack_hi),
+            "evals": evals,
+        },
+    )

@@ -18,13 +18,11 @@ from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lin
 from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
-    distflow_double_sum,
     distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
     distflow_sensitivity_profile,
     distflow_voltages,
-    distflow_w_recursion,
     feasible,
 )
 from linestab.simulator import Classification, SimConfig, simulate, stability_probe
@@ -36,7 +34,7 @@ from linestab.stability import (
     newton_solve_a,
     ratio_P,
 )
-from oracles import grid_search_allocation
+from oracles import distflow_double_sum, distflow_w_recursion, grid_search_allocation
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Fair allocation layer: closed form, dual search, and their oracles."""
+"""Fair allocation layer: closed form, binding solve, and their oracles."""
 
 import math
 
@@ -13,7 +13,6 @@ from linestab.allocator import (
     alpha_fair_lindist,
     fairness_utility,
     _binding_solve,
-    _dual_solve,
 )
 from linestab.powerflow import (
     NetworkConfig,
@@ -23,7 +22,7 @@ from linestab.powerflow import (
     feasible,
     lindist_weighted_load,
 )
-from oracles import grid_search_allocation
+from oracles import _dual_solve, grid_search_allocation
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -245,39 +244,52 @@ class TestDistflowAllocator:
             p = alpha_fair_distflow(x, FairnessSpec(rng.choice(ALPHAS)), cfg).p
             assert math.fsum(p) <= cfg.w_limit / cfg.resistance
 
-    def test_warm_hints_do_not_change_the_answer(self, rng):
+    def test_warm_hints_do_not_change_the_answer(self):
+        # the simulator warm-starts each solve from the previous state's
+        # powers, one vehicle away
         cfg = NetworkConfig(5, 1.0, 0.2)
         spec = FairnessSpec(1.0)
-        x = [3, 1, 0, 2, 4]
-        cold_p, cold_mu = _dual_solve(x, spec, cfg)
-        warm = alpha_fair_distflow(
-            [3, 1, 0, 2, 5], spec, cfg, mu_hint=cold_mu, p_hint=cold_p
-        ).p
+        cold = _binding_solve((3, 1, 0, 2, 4), spec, cfg)
+        warm = _binding_solve((3, 1, 0, 2, 5), spec, cfg, p_hint=cold)
         fresh = alpha_fair_distflow([3, 1, 0, 2, 5], spec, cfg).p
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
+
+    def test_overflowing_hint_raises_allocation_error(self):
+        cfg = NetworkConfig(3, 1.0, 0.1)
+        with pytest.raises(AllocationError):
+            _binding_solve((1, 2, 3), FairnessSpec(1.0), cfg, p_hint=[math.inf] * 3)
 
     def test_validation(self):
         cfg = NetworkConfig(2, 1.0, 0.1)
         with pytest.raises(ValueError):
             alpha_fair_distflow([1], FairnessSpec(1.0), cfg)
         with pytest.raises(ValueError):
-            alpha_fair_distflow([1, 1], FairnessSpec(1.0), cfg, tol=0.0)
+            alpha_fair_distflow([1, -1], FairnessSpec(1.0), cfg)
 
 
 class TestRouteConsistency:
-    """The scale-direction solver and the dual search walk different paths
-    to the same optimum; agreement is evidence both are right.
+    """The library's scale-direction solver and the oracle's dual search walk
+    different paths to the same optimum; agreement is evidence both are right.
     """
 
     def test_solvers_agree(self, rng):
+        cases = []
         for _ in range(25):
             n = rng.randint(1, 8)
             cfg = NetworkConfig(n, rng.uniform(0.05, 4.0), rng.uniform(0.01, 0.5))
-            alpha = rng.choice(ALPHAS)
-            x = _random_state(rng, n)
+            cases.append((_random_state(rng, n), rng.choice(ALPHAS), cfg))
+        # the states an overloaded run visits: every station occupied,
+        # hundreds to thousands of vehicles
+        for alpha in (0.5, 1.0, 2.0):
+            for _ in range(3):
+                cfg = NetworkConfig(20, rng.uniform(0.05, 4.0), rng.uniform(0.01, 0.5))
+                total = 10.0 ** rng.uniform(math.log10(300.0), math.log10(6000.0))
+                x = [max(1, int(total / 20 * rng.uniform(0.2, 1.8))) for _ in range(20)]
+                cases.append((x, alpha, cfg))
+        for x, alpha, cfg in cases:
             spec = FairnessSpec(alpha)
-            direct, _ = _binding_solve(x, spec, cfg)
+            direct = alpha_fair_distflow(x, spec, cfg).p
             dual, _ = _dual_solve(x, spec, cfg)
             for a, b in zip(direct, dual):
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-15)

@@ -12,18 +12,21 @@ from linestab.powerflow import (
     PowerAllocation,
     PowerModel,
     VoltageProfile,
-    distflow_double_sum,
     distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
     distflow_sensitivity_profile,
     distflow_voltages,
-    distflow_w_recursion,
     feasible,
     lindist_squared_voltages,
     lindist_weighted_load,
 )
-from oracles import distflow_gradient_forward, voltage_profile_mp
+from oracles import (
+    distflow_double_sum,
+    distflow_gradient_forward,
+    distflow_w_recursion,
+    voltage_profile_mp,
+)
 
 powers_st = st.lists(st.floats(0.0, 0.05), min_size=1, max_size=10)
 resistance_st = st.floats(0.05, 2.0)

@@ -1,4 +1,4 @@
-"""Special-function layer: series, inversions, and the f'' f = k family."""
+"""Special-function layer: the erfi series, its inversions, and f0."""
 
 import math
 
@@ -10,7 +10,6 @@ from linestab.specfun import (
     erfi,
     f0,
     f0_inverse,
-    solve_ode,
     u_inverse,
 )
 from oracles import erfi_quadrature
@@ -125,61 +124,3 @@ class TestF0:
     def test_f0_inverse_rejects_below_one(self):
         with pytest.raises(ValueError):
             f0_inverse(0.999)
-
-
-class TestSolveOde:
-    def test_scaling_identities(self):
-        sol = solve_ode(k=2.3, y0=1.2, w0=0.4)
-        assert sol.gamma * sol.beta == pytest.approx(math.sqrt(2.3), rel=1e-14)
-        assert sol.gamma * f0(sol.alpha) == pytest.approx(1.2, rel=1e-13)
-
-    def test_initial_value(self):
-        for k, y0, w0 in [(1.0, 1.0, 0.0), (2.0, 0.8, 0.5), (0.9, 1.3, 0.7)]:
-            sol = solve_ode(k, y0, w0)
-            assert sol(0.0) == pytest.approx(y0, rel=1e-12)
-
-    def test_initial_slope(self):
-        # the solution only exists for t >= 0 when w0 = 0, so the stencil
-        # must be one-sided; this one is second order
-        h = 1e-5
-        for k, y0, w0 in [(1.0, 1.0, 0.0), (2.5, 1.1, 0.6), (0.8, 0.7, 0.3)]:
-            sol = solve_ode(k, y0, w0)
-            slope = (-3.0 * sol(0.0) + 4.0 * sol(h) - sol(2.0 * h)) / (2.0 * h)
-            assert slope == pytest.approx(w0, abs=5e-6)
-
-    # windows chosen so finite differences stay accurate: for large k or
-    # tiny y0 the solution is steep and h^2-truncation dominates the check
-    @given(
-        st.floats(min_value=0.8, max_value=3.0),
-        st.floats(min_value=0.7, max_value=1.4),
-        st.floats(min_value=0.0, max_value=0.7),
-    )
-    def test_ode_residual(self, k, y0, w0):
-        sol = solve_ode(k, y0, w0)
-        h = 5e-4  # balances h^2 truncation against eps * f^2 / h^2 rounding
-        for i in range(1, 51):
-            t = 0.02 * i  # (0, 1]
-            f2 = (sol(t + h) - 2.0 * sol(t) + sol(t - h)) / (h * h)
-            assert abs(f2 * sol(t) - k) < 2e-6 * k
-
-    @given(
-        st.floats(min_value=0.8, max_value=3.0),
-        st.floats(min_value=0.7, max_value=1.4),
-        st.floats(min_value=0.0, max_value=0.7),
-    )
-    def test_energy_integral(self, k, y0, w0):
-        # f'^2 - 2 k log(f / y0) is conserved and equals w0^2
-        sol = solve_ode(k, y0, w0)
-        h = 1e-5
-        for t in (0.25, 0.5, 1.0):
-            fp = (sol(t + h) - sol(t - h)) / (2.0 * h)
-            energy = fp * fp - 2.0 * k * math.log(sol(t) / y0)
-            assert energy == pytest.approx(w0 * w0, abs=5e-5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solve_ode(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            solve_ode(1.0, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            solve_ode(1.0, 1.0, -0.1)
