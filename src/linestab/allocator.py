@@ -13,7 +13,9 @@ conditions collapse to a closed form.  Under full Distflow the constraint
 surface is curved.  Stationarity still fixes the direction of the optimum,
 p_j proportional to x_j g_j(p)^(-1/alpha) with g_j the gradient of the
 squared root-side voltage, and the binding constraint fixes its scale; the
-solver alternates the two.  Empty stations always get zero power.
+solver alternates the two.  A direction refresh takes one O(N) adjoint
+gradient; the scale solve needs only the slope along the direction, one
+forward tangent pass per Newton step.  Empty stations always get zero power.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .powerflow import (
     NetworkConfig,
     PowerAllocation,
     _root_voltage_and_gradient,
+    _root_voltage_and_slope,
 )
 
 __all__ = [
@@ -139,25 +142,27 @@ def alpha_fair_lindist(
     return PowerAllocation(p=tuple(p))
 
 
+_MAX_OUTER = 120  # direction refreshes before the binding solve gives up
+
+
 def _binding_solve(
     counts: tuple[int, ...],
     spec: FairnessSpec,
     cfg: NetworkConfig,
     p_hint: "Sequence[float] | None" = None,
-    max_outer: int = 120,
 ) -> tuple[float, ...]:
     """Scale-and-direction form of the Distflow optimum.
 
     Stationarity makes p_j = s x_j ghat_j^(-1/alpha) with ghat the gradient
     of the squared root voltage and s = mu^(-1/alpha); the constraint binds,
-    which pins s.  Alternating a direction refresh with a scalar Newton
-    solve for s takes one gradient per outer step plus one per Newton step
-    (about 18 a solve in an overloaded simulation).  ``p_hint`` warm-starts
-    the direction (the simulator passes the previous event's solution, one
-    vehicle away); without it, or when it leaves an occupied station
-    unpowered, the linearized closed form seeds the iteration.  Returns
-    powers with |slack| <= 1e-9 in squared-voltage units, or raises
-    AllocationError.
+    which pins s.  Each outer step refreshes the direction with one adjoint
+    gradient, then solves for s by Newton with one tangent pass (V_N and
+    dV_N/ds) per step; one more adjoint pass checks the returned point.
+    ``p_hint`` warm-starts the direction (the simulator passes the previous
+    event's solution, one vehicle away); without it, or when it leaves an
+    occupied station unpowered, the linearized closed form seeds the
+    iteration.  Returns powers with |slack| <= 1e-9 in squared-voltage
+    units, or raises AllocationError.
     """
     n = cfg.n_stations
     active = [j for j in range(n) if counts[j] > 0]
@@ -181,7 +186,7 @@ def _binding_solve(
     theta = 1.0
     prev_p: "list[float] | None" = None
     prev_q: "list[float] | None" = None
-    for outer in range(max_outer):
+    for outer in range(_MAX_OUTER):
         v_n, grad = _root_voltage_and_gradient(p, r)
         shrink = 0
         while not math.isfinite(v_n) or any(grad[j] <= 0.0 for j in active):
@@ -206,10 +211,8 @@ def _binding_solve(
         s = math.fsum(p[j] for j in active) / math.fsum(d[j] for j in active)
         s_lo, s_hi = 0.0, math.inf
         for _ in range(80):
-            for j in active:
-                trial[j] = s * d[j]
-            v_try, g_try = _root_voltage_and_gradient(trial, r)
-            if not math.isfinite(v_try) or any(g_try[j] <= 0.0 for j in active):
+            v_try, slope = _root_voltage_and_slope(d, s, r)
+            if not math.isfinite(v_try) or not slope > 0.0:
                 s_hi = s
                 s = 0.5 * (s_lo + s)
                 continue
@@ -226,7 +229,7 @@ def _binding_solve(
                 # where V is steep in s the residual target is below the
                 # double-precision floor; a machine-width bracket is done
                 break
-            s_new = s - phi / math.fsum(g_try[j] * d[j] for j in active)
+            s_new = s - phi / slope
             if not s_lo < s_new < s_hi:
                 s_new = 0.5 * (s_lo + s_hi) if math.isfinite(s_hi) else 8.0 * s
             s = s_new
@@ -242,10 +245,17 @@ def _binding_solve(
             if diff > change * q:
                 change = diff / max(q, 1e-300)
         if change < 1e-12:
-            # p is now the last scalar trial, so v_try is its root voltage
+            # p is now the last scalar trial; the tangent passes see only
+            # g . d, so check every station's gradient entry here
             for j in active:
                 p[j] = trial[j]
-            slack = w_limit - v_try * v_try
+            v_n, grad = _root_voltage_and_gradient(p, r)
+            if any(grad[j] <= 0.0 for j in active):
+                raise AllocationError(
+                    "returned loads are past the representable range",
+                    {"state": counts, "outer": outer, "grad": grad},
+                )
+            slack = w_limit - v_n * v_n
             if abs(slack) <= 1e-9:
                 return tuple(p)
             raise AllocationError(
@@ -267,7 +277,7 @@ def _binding_solve(
         for j in active:
             p[j] = one_minus * p[j] + theta * trial[j]
     raise AllocationError(
-        "direction iteration did not settle", {"state": counts, "outer": max_outer}
+        "direction iteration did not settle", {"state": counts, "outer": _MAX_OUTER}
     )
 
 

@@ -309,9 +309,10 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
 def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float, list[float]]:
     """Unvalidated fused pass: V[N] and its gradient as a plain list.
 
-    Shared by `distflow_gradient` and the allocator's inner loop, which
-    calls it thousands of times per simulated trajectory.  A forward voltage
-    pass, then one O(N) adjoint pass in a = dV[N]/dV[j+1], j = N-1 .. 0:
+    Shared by `distflow_gradient` and the allocator's binding solve, which
+    calls it once per direction refresh and once on the point it returns.
+    A forward voltage pass, then one O(N) adjoint pass in
+    a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.
     """
     n = len(powers)
@@ -328,6 +329,29 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
         a, a_prev = (2.0 - r * powers[j] / (vj * vj)) * a - a_prev, a
     g[0] = a * r  # V[1] = 1 + r p[0]
     return v[n], g
+
+
+def _root_voltage_and_slope(d: Sequence[float], s: float, r: float) -> tuple[float, float]:
+    """Unvalidated fused pass: V[N] at loads q = s d and its slope dV[N]/ds.
+
+    One forward tangent sweep, T[j] = dV[j]/ds:
+
+        T[j+1] = 2 T[j] - T[j-1] + r d[j] / V[j] - r q[j] T[j] / V[j]^2,
+
+    with T[0] = 0 and T[1] = r d[0].  V follows the literal recursion on
+    q[j] = s * d[j], so V[N] is bit-identical to what
+    `_root_voltage_and_gradient` gives for those loads.  The slope equals
+    sum_j g[j] d[j] at a fraction of the gradient's cost.
+    """
+    v_prev, v = 1.0, 1.0 + r * (s * d[0])
+    t_prev, t = 0.0, r * d[0]
+    for j in range(1, len(d)):
+        dj = d[j]
+        q = s * dj
+        vj = v
+        v, v_prev = 2.0 * vj - v_prev + r * q / vj, vj
+        t, t_prev = 2.0 * t - t_prev + r * dj / vj - r * q * t / (vj * vj), t
+    return v, t
 
 
 def distflow_gradient(p: "PowerAllocation | Sequence[float]", r: float) -> tuple[float, ...]:

@@ -1,0 +1,41 @@
+"""Golden corpus: CLI commands whose output bytes are pinned.
+
+The expected files under tests/golden/ were written by the CLI itself.
+A solver change that moves any byte fails here; such a change must say
+which bytes moved and why rather than overwrite the files.
+"""
+
+import pathlib
+
+import pytest
+
+from linestab.cli import main
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+N20_OCCUPANCY = "28,23,21,25,24,28,28,4,8,21,20,27,28,3,27,10,18,28,5,0"
+
+ALLOCATE_CASES = [
+    # the README example
+    ("allocate_readme.csv", ["--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"]),
+    ("allocate_n20.csv", ["--x", N20_OCCUPANCY, "--alpha", "0.5", "--delta", "0.15"]),
+]
+
+
+@pytest.mark.parametrize("name,flags", ALLOCATE_CASES, ids=[c[0] for c in ALLOCATE_CASES])
+def test_allocate_bytes(name, flags, capsysbinary):
+    assert main(["allocate", *flags, "--model", "distflow"]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+def test_overloaded_simulate_bytes(tmp_path):
+    out = tmp_path / "simulate.csv"
+    argv = [
+        "simulate", "--model", "distflow", "--n", "5", "--delta", "0.1",
+        "--mult", "2.0", "--replications", "1", "--events", "3000",
+        "--seed", "7", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "simulate.csv").read_bytes()
+    traj = tmp_path / "simulate.csv.traj0.csv"
+    assert traj.read_bytes() == (GOLDEN / "simulate.csv.traj0.csv").read_bytes()

@@ -3,6 +3,7 @@ monotonicity / compactness facts the allocator and stability code rely on.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,8 @@ from linestab.powerflow import (
     PowerAllocation,
     PowerModel,
     VoltageProfile,
+    _root_voltage_and_gradient,
+    _root_voltage_and_slope,
     distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
@@ -217,6 +220,39 @@ class TestGradient:
         p = [u * a / (r * n * n) for u in shares]
         grad = distflow_gradient(p, r)
         assert grad == pytest.approx(distflow_gradient_forward(p, r), rel=1e-12, abs=0.0)
+
+    @given(
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+        direction=st.lists(st.floats(0.0, 1.0), min_size=64, max_size=64),
+        r=resistance_st,
+        a=st.floats(0.0, 1.9),
+    )
+    def test_tangent_slope_matches_gradient_along_direction(self, shares, direction, r, a):
+        # same load domain as above; a slope below the smallest normal double
+        # carries fewer than 53 significant bits, hence the absolute floor
+        n = len(shares)
+        d = [u * a / (r * n * n) for u in shares]
+        e = [u * a / (r * n * n) for u in direction[:n]]
+        tol = dict(rel=1e-12, abs=sys.float_info.min)
+        # along the loads themselves (s = 1), and along another direction
+        for direc, s in ((d, 1.0), (e, 0.7)):
+            q = [s * dj for dj in direc]
+            v_n, slope = _root_voltage_and_slope(direc, s, r)
+            v_adj, grad = _root_voltage_and_gradient(q, r)
+            assert v_n == v_adj  # the same literal recursion, bit for bit
+            assert slope == pytest.approx(
+                math.fsum(g * dj for g, dj in zip(grad, direc)), **tol
+            )
+            forward = distflow_gradient_forward(q, r)
+            assert slope == pytest.approx(
+                math.fsum(g * dj for g, dj in zip(forward, direc)), **tol
+            )
+
+    def test_single_station_slope_is_resistance_times_direction(self):
+        # V[1] = 1 + r s d[0], so dV[1]/ds = r d[0] at any scale
+        v_n, slope = _root_voltage_and_slope([0.3], 2.5, 0.7)
+        assert v_n == _root_voltage_and_gradient([2.5 * 0.3], 0.7)[0]
+        assert slope == 0.7 * 0.3
 
     def test_single_station_gradient_is_resistance(self):
         # V[1] = 1 + r p[0] whatever the load
