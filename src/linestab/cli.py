@@ -9,9 +9,7 @@ all parameter values, the seed and the tool version; re-running a manifest
 CSV goes to stdout and no manifest is written.
 
 Exit codes: 0 success, 2 flag validation, 3 solver failure, 4 simulation
-abort.  Sweep subcommands split their grid across --threads workers; rows
-are assembled in parameter order, so the output does not depend on
-scheduling.
+abort.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .allocator import AllocationError, FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
@@ -131,13 +128,6 @@ def _write_output(
     )
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -193,7 +183,6 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
             "r": repr(args.r),
             "delta": repr(args.delta),
             "model": args.model,
-            "threads": str(args.threads),
         },
     )
     return EXIT_OK
@@ -206,16 +195,13 @@ def _cmd_newton(args: argparse.Namespace) -> int:
     for n in args.n:
         if n < 2:
             raise _Usage(f"--n values must be >= 2, got {n}")
-    grid = [(a, n) for a in args.a for n in args.n]
-
-    def row(item: tuple[float, int]):
-        a, n = item
-        v_target = distflow_sensitivity(a, n)[0]
-        delta = 1.0 - 1.0 / v_target
-        trace = newton_solve_a(n, delta, stop_tol=args.stop_tol)
-        return [n, v_target, trace.a0, trace.a_final, trace.iterations]
-
-    rows = _parallel_map(row, grid, args.threads)
+    rows = []
+    for a in args.a:
+        for n in args.n:
+            v_target = distflow_sensitivity(a, n)[0]
+            delta = 1.0 - 1.0 / v_target
+            trace = newton_solve_a(n, delta, stop_tol=args.stop_tol)
+            rows.append([n, v_target, trace.a0, trace.a_final, trace.iterations])
     _write_output(
         args,
         ["n", "v_limit", "a0", "a_final", "iterations"],
@@ -224,7 +210,6 @@ def _cmd_newton(args: argparse.Namespace) -> int:
             "a": _canon_floats(args.a),
             "n": _canon_ints(args.n),
             "stop-tol": repr(args.stop_tol),
-            "threads": str(args.threads),
         },
     )
     return EXIT_OK
@@ -245,18 +230,15 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     for d in grid:
         if not 0.0 < d <= 0.5:
             raise _Usage(f"delta values must lie in (0, 0.5], got {d:g}")
-    rows = _parallel_map(lambda d: [d, ratio_P(d)], grid, args.threads)
-    params = {"threads": str(args.threads)}
+    rows = [[d, ratio_P(d)] for d in grid]
     if args.delta is not None:
-        params["delta"] = _canon_floats(args.delta)
+        params = {"delta": _canon_floats(args.delta)}
     else:
-        params.update(
-            {
-                "delta-min": repr(args.delta_min),
-                "delta-max": repr(args.delta_max),
-                "points": str(args.points),
-            }
-        )
+        params = {
+            "delta-min": repr(args.delta_min),
+            "delta-max": repr(args.delta_max),
+            "points": str(args.points),
+        }
     _write_output(args, ["delta", "ratio"], rows, params)
     return EXIT_OK
 
@@ -267,12 +249,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     for n in args.n:
         if n < 2:
             raise _Usage(f"--n values must be >= 2, got {n}")
-    reports = _parallel_map(
-        lambda n: convergence_report(args.a, [n])[0], args.n, args.threads
-    )
     rows = [
         [rep.n, rep.v_discrete, rep.v_continuum, rep.abs_err, rep.rel_err]
-        for rep in reports
+        for rep in convergence_report(args.a, args.n)
     ]
     _write_output(
         args,
@@ -281,7 +260,6 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         {
             "a": repr(args.a),
             "n": _canon_ints(args.n),
-            "threads": str(args.threads),
         },
     )
     return EXIT_OK
@@ -362,7 +340,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "mult": _canon_floats(args.mult),
         "replications": str(args.replications),
         "events": str(args.events),
-        "threads": str(args.threads),
     }
     if args.horizon is not None:
         params["horizon"] = repr(args.horizon)
@@ -407,9 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write CSV here (plus <out>.manifest.json)")
     common.add_argument("--seed", type=int, help="RNG seed for stochastic commands")
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for parameter sweeps"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", parents=[common], help="critical arrival rates")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "NetworkConfig",
@@ -37,10 +37,8 @@ __all__ = [
     "distflow_from_root",
     "distflow_gradient",
     "distflow_sensitivity",
-    "distflow_sensitivity_profile",
     "distflow_voltages",
     "feasible",
-    "lindist_squared_voltages",
     "lindist_weighted_load",
 ]
 
@@ -102,14 +100,6 @@ class PowerAllocation:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"powers must be finite and nonnegative, got {v!r}")
 
-    @classmethod
-    def from_station_order(cls, values: Iterable[float]) -> "PowerAllocation":
-        """Build from physical order (index 0 next to the root)."""
-        return cls(p=tuple(reversed(tuple(values))))
-
-    def to_station_order(self) -> tuple[float, ...]:
-        return tuple(reversed(self.p))
-
     def __len__(self) -> int:
         return len(self.p)
 
@@ -123,8 +113,6 @@ class VoltageProfile:
 
     v has N+1 entries (buses 0..N, bus N is the root side), w_diag the
     squared voltages, and w_off the N products V[j] V[j+1] of neighbours.
-    For an infeasible linearized profile the squared voltages can go
-    negative; the magnitudes are NaN there and `physical` flips to False.
     """
 
     v: tuple[float, ...]
@@ -143,26 +131,12 @@ class VoltageProfile:
     def root_end(self) -> float:
         return self.v[-1]
 
-    @property
-    def physical(self) -> bool:
-        return all(w >= 0.0 for w in self.w_diag)
-
     @classmethod
     def from_voltages(cls, v: Sequence[float]) -> "VoltageProfile":
         v = tuple(v)
         return cls(
             v=v,
             w_diag=tuple(x * x for x in v),
-            w_off=tuple(v[j] * v[j + 1] for j in range(len(v) - 1)),
-        )
-
-    @classmethod
-    def from_squared(cls, w: Sequence[float]) -> "VoltageProfile":
-        w = tuple(w)
-        v = tuple(math.sqrt(x) if x >= 0.0 else math.nan for x in w)
-        return cls(
-            v=v,
-            w_diag=w,
             w_off=tuple(v[j] * v[j + 1] for j in range(len(v) - 1)),
         )
 
@@ -212,35 +186,6 @@ def lindist_weighted_load(p: "PowerAllocation | Sequence[float]") -> float:
     return math.fsum((n - m) * powers[m] for m in range(n))
 
 
-def lindist_squared_voltages(
-    p: "PowerAllocation | Sequence[float]", r: float, delta: float
-) -> VoltageProfile:
-    """Linearized squared-voltage profile, anchored at the root.
-
-    The root bus is pinned at the cap, W[N] = (1 / (1 - delta))^2, and the
-    profile decreases toward the far end:
-
-        W[j] = W[j+1] - 2 r sum_{m=0}^{N-1-j} p[m].
-
-    An overloaded feeder drives W below zero near the far end; the profile
-    is still returned (voltage magnitudes NaN there) so callers can report
-    the violation instead of dying on it.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-    if not (math.isfinite(delta) and 0.0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 0.5], got {delta!r}")
-    powers = _as_powers(p)
-    n = len(powers)
-    w = [0.0] * (n + 1)
-    w[n] = (1.0 / (1.0 - delta)) ** 2
-    prefix = 0.0  # sum of p[0..n-1-j] when filling w[j]
-    for j in range(n - 1, -1, -1):
-        prefix += powers[n - 1 - j]
-        w[j] = w[j + 1] - 2.0 * r * prefix
-    return VoltageProfile.from_squared(w)
-
-
 def feasible(
     p: "PowerAllocation | Sequence[float]",
     cfg: NetworkConfig,
@@ -269,17 +214,11 @@ def feasible(
     return slack >= 0.0, slack
 
 
-def distflow_sensitivity_profile(a: float, n: int) -> tuple[list[float], list[float]]:
-    """Voltage and d/da tracks for the uniform load p = a / (r n^2) per station.
+def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
+    """Root voltage V[n] and its scaled derivative Y[n] = n^2 dV[n]/da.
 
-    With every station drawing the same scaled power a / n^2 (resistance
-    folded in), the Distflow recursion and its derivative in a form a joint
-    pair with k = a / n^2:
-
-        V[j+1] = 2 V[j] - V[j-1] + k / V[j]
-        Y[j+1] = 2 Y[j] - Y[j-1] + 1 / V[j] - k Y[j] / V[j]^2
-
-    where Y[j] = n^2 dV[j]/da.  Returns both tracks, length n + 1.
+    The load is uniform, a / (r n^2) per station, with the resistance
+    folded in: the tangent pass on d[j] = 1, s = a / n^2 and r = 1.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -287,23 +226,7 @@ def distflow_sensitivity_profile(a: float, n: int) -> tuple[list[float], list[fl
         raise ValueError(f"a must be nonnegative, got {a!r}")
     if n > 1 and a >= 2.0 * n / (n - 1.0):
         raise ValueError(f"a = {a:g} is past the blow-up bound 2n/(n-1) for n = {n}")
-    k = a / (n * n)
-    v = [0.0] * (n + 1)
-    y = [0.0] * (n + 1)
-    v[0] = 1.0
-    v[1] = 1.0 + k
-    y[1] = 1.0
-    for j in range(1, n):
-        vj = v[j]
-        v[j + 1] = 2.0 * vj - v[j - 1] + k / vj
-        y[j + 1] = 2.0 * y[j] - y[j - 1] + 1.0 / vj - k * y[j] / (vj * vj)
-    return v, y
-
-
-def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
-    """Far-to-root voltage V[n] and its scaled derivative Y[n] = n^2 dV[n]/da."""
-    v, y = distflow_sensitivity_profile(a, n)
-    return v[n], y[n]
+    return _root_voltage_and_slope((1.0,) * n, a / (n * n), 1.0)
 
 
 def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float, list[float]]:

@@ -70,14 +70,7 @@ def erfi(x: float) -> float:
 
 
 # largest x with a representable u_inverse(x); erfi(ERFI_ARG_MAX) is finite
-_U_ARG_MAX = None  # computed lazily, depends on erfi
-
-
-def _u_arg_max() -> float:
-    global _U_ARG_MAX
-    if _U_ARG_MAX is None:
-        _U_ARG_MAX = _SQRT_HALF_PI * erfi(ERFI_ARG_MAX)
-    return _U_ARG_MAX
+_U_ARG_MAX = _SQRT_HALF_PI * erfi(ERFI_ARG_MAX)
 
 
 def u_inverse(x: float, tol: float = RESIDUAL_TOL) -> float:
@@ -93,7 +86,7 @@ def u_inverse(x: float, tol: float = RESIDUAL_TOL) -> float:
         raise ValueError(f"u_inverse expects x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    if x > _u_arg_max():
+    if x > _U_ARG_MAX:
         raise OverflowError(f"u_inverse({x:g}) is not representable")
 
     def residual(u: float) -> float:

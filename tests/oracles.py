@@ -118,6 +118,61 @@ def distflow_double_sum(p: "PowerAllocation | Sequence[float]", r: float) -> Vol
 
 
 
+def distflow_sensitivity_profile(a: float, n: int) -> tuple[list[float], list[float]]:
+    """Voltage and d/da tracks for the uniform load p = a / (r n^2) per station.
+
+    With every station drawing the same scaled power a / n^2 (resistance
+    folded in), the Distflow recursion and its derivative in a form a joint
+    pair with k = a / n^2:
+
+        V[j+1] = 2 V[j] - V[j-1] + k / V[j]
+        Y[j+1] = 2 Y[j] - Y[j-1] + 1 / V[j] - k Y[j] / V[j]^2
+
+    where Y[j] = n^2 dV[j]/da.  Returns both tracks, length n + 1.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"a must be nonnegative, got {a!r}")
+    if n > 1 and a >= 2.0 * n / (n - 1.0):
+        raise ValueError(f"a = {a:g} is past the blow-up bound 2n/(n-1) for n = {n}")
+    k = a / (n * n)
+    v = [0.0] * (n + 1)
+    y = [0.0] * (n + 1)
+    v[0] = 1.0
+    v[1] = 1.0 + k
+    y[1] = 1.0
+    for j in range(1, n):
+        vj = v[j]
+        v[j + 1] = 2.0 * vj - v[j - 1] + k / vj
+        y[j + 1] = 2.0 * y[j] - y[j - 1] + 1.0 / vj - k * y[j] / (vj * vj)
+    return v, y
+
+
+def lindist_squared_voltages(
+    p: "PowerAllocation | Sequence[float]", r: float, delta: float
+) -> list[float]:
+    """Linearized squared-voltage profile W[0..N], anchored at the root.
+
+    The root bus is pinned at the cap, W[N] = (1 / (1 - delta))^2, and the
+    profile decreases toward the far end:
+
+        W[j] = W[j+1] - 2 r sum_{m=0}^{N-1-j} p[m].
+
+    An independent route to the LINDIST slack W[0] - 1, which `feasible`
+    computes from the collapsed load moment instead.
+    """
+    powers = _as_powers(p)
+    n = len(powers)
+    w = [0.0] * (n + 1)
+    w[n] = (1.0 / (1.0 - delta)) ** 2
+    prefix = 0.0  # sum of p[0..n-1-j] when filling w[j]
+    for j in range(n - 1, -1, -1):
+        prefix += powers[n - 1 - j]
+        w[j] = w[j + 1] - 2.0 * r * prefix
+    return w
+
+
 def _utility_grid(p: np.ndarray, counts, alpha: float) -> np.ndarray:
     """Sum of per-station utilities over a (m, n) batch of allocations."""
     total = np.zeros(p.shape[0])

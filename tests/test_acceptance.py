@@ -21,7 +21,6 @@ from linestab.powerflow import (
     distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
-    distflow_sensitivity_profile,
     distflow_voltages,
     feasible,
 )
@@ -34,7 +33,12 @@ from linestab.stability import (
     newton_solve_a,
     ratio_P,
 )
-from oracles import distflow_double_sum, distflow_w_recursion, grid_search_allocation
+from oracles import (
+    distflow_double_sum,
+    distflow_sensitivity_profile,
+    distflow_w_recursion,
+    grid_search_allocation,
+)
 
 
 @pytest.fixture
