@@ -16,6 +16,18 @@ squared root-side voltage, and the binding constraint fixes its scale; the
 solver alternates the two.  A direction refresh takes one O(N) adjoint
 gradient; the scale solve needs only the slope along the direction, one
 forward tangent pass per Newton step.  Empty stations always get zero power.
+
+Given a warm start (the simulator passes the previous state's powers) the
+solve first tries a local phase.  The KKT conditions are a two-point
+recursion: voltages run out from the far end, and the costate b_k =
+dV_N/dV_k obeys the adjoint recursion, which runs forward just as well.
+Fixing b_1 = 1, the unknowns (b_2, log c), c the scaled multiplier, are
+pinned by V_N = v_limit and b_{N+1} = 0, so Newton's method shoots on two
+unknowns for any N, each step one O(N) sweep that carries two tangent
+directions (Stoer & Bulirsch, Introduction to Numerical Analysis, 7.3).
+Shooting from a far-off start is not robust, so the phase hands over to
+the alternating iteration, started from the same hint, whenever a costate
+turns nonpositive, a value leaves the floats or the residual stops falling.
 """
 
 from __future__ import annotations
@@ -37,7 +49,6 @@ __all__ = [
     "QueueState",
     "alpha_fair_distflow",
     "alpha_fair_lindist",
-    "fairness_utility",
 ]
 
 
@@ -86,28 +97,6 @@ def _as_counts(x: "QueueState | Sequence[int]") -> tuple[int, ...]:
     return QueueState(x=tuple(x)).x
 
 
-def fairness_utility(
-    rates: "PowerAllocation | Sequence[float]", x: "QueueState | Sequence[int]", alpha: float
-) -> float:
-    """Aggregate utility sum_j x_j U_alpha(p_j / x_j); empty stations are skipped."""
-    counts = _as_counts(x)
-    powers = tuple(float(v) for v in rates)
-    if len(powers) != len(counts):
-        raise ValueError("rates and queue lengths must have matching length")
-    total = 0.0
-    for xj, pj in zip(counts, powers):
-        if xj == 0:
-            continue
-        y = pj / xj
-        if alpha == 1.0:
-            total += xj * math.log(y) if y > 0.0 else -math.inf
-        elif alpha > 1.0:
-            total += xj * y ** (1.0 - alpha) / (1.0 - alpha) if y > 0.0 else -math.inf
-        else:
-            total += xj * y ** (1.0 - alpha) / (1.0 - alpha)
-    return total
-
-
 def _lin_weights(cfg: NetworkConfig) -> list[float]:
     n = cfg.n_stations
     return [2.0 * cfg.resistance * (n - j) for j in range(n)]
@@ -143,6 +132,157 @@ def alpha_fair_lindist(
 
 
 _MAX_OUTER = 120  # direction refreshes before the binding solve gives up
+_MAX_SHOTS = 20  # Newton steps before the shooting phase gives up
+_SHOT_STALL = 3  # steps without a residual decrease before it gives up
+
+
+def _shoot(
+    counts: tuple[int, ...], inv_alpha: float, r: float, beta: float, ell: float
+) -> "tuple[list[float], float, float, float, float, float, float] | None":
+    """One forward sweep of the KKT two-point recursion, with two tangents.
+
+    The costate b_k = dV_N/dV_k, scaled so that b_1 = 1, obeys the adjoint
+    recursion run forward, b_{j+2} = (2 - r p_j / V_j^2) b_{j+1} - b_j, and
+    stationarity gives p_j = x_j (c b_{j+1} / V_j)^(-1/alpha).  From the
+    unknowns (b_2, log c) = (beta, ell) the sweep returns the powers, V_N,
+    the costate ratio b_{N+1} / b_N (zero at the optimum) and the Jacobian
+    of (V_N, b_{N+1} / b_N) in (beta, ell), row by row; None when a
+    costate the powers depend on is not positive.  V follows the literal
+    recursion, so V_N is what `_root_voltage_and_gradient` gives for the
+    returned powers.
+    """
+    c = math.exp(ell)
+    expo = -inv_alpha
+    n = len(counts)
+    p = [0.0] * n
+    pj = counts[0] * c**expo if counts[0] else 0.0
+    p[0] = pj
+    # suffix b: derivative in beta; suffix l: derivative in ell
+    v_prev, v = 1.0, 1.0 + r * pj
+    vb_prev = vb = 0.0
+    vl_prev, vl = 0.0, expo * r * pj
+    b_prev, b = 1.0, beta
+    bb_prev, bb = 0.0, 1.0
+    bl_prev = bl = 0.0
+    for j in range(1, n):
+        x = counts[j]
+        iv = 1.0 / v
+        if x:
+            u = c * b * iv
+            if not u > 0.0:
+                return None
+            pj = x * u**expo
+            ib = 1.0 / b
+            k = expo * pj
+            pb = k * (bb * ib - vb * iv)
+            pl = k * (1.0 + bl * ib - vl * iv)
+        else:
+            pj = pb = pl = 0.0
+        p[j] = pj
+        # h (dp - e dV) is the tangent of r p / V, and hb (dp - 2 e dV) is
+        # b times that of r p / V^2
+        h = r * iv
+        e = pj * iv
+        e2 = e + e
+        hb = h * iv * b
+        a = 2.0 - h * e
+        v_prev, v = v, 2.0 * v - v_prev + r * pj / v
+        b_prev, b = b, a * b - b_prev
+        bb_prev, bb = bb, a * bb - bb_prev - hb * (pb - e2 * vb)
+        bl_prev, bl = bl, a * bl - bl_prev - hb * (pl - e2 * vl)
+        vb_prev, vb = vb, 2.0 * vb - vb_prev + h * (pb - e * vb)
+        vl_prev, vl = vl, 2.0 * vl - vl_prev + h * (pl - e * vl)
+    if not b_prev > 0.0:
+        return None
+    ratio = b / b_prev
+    return (
+        p,
+        v,
+        ratio,
+        vb,
+        vl,
+        (bb - ratio * bb_prev) / b_prev,
+        (bl - ratio * bl_prev) / b_prev,
+    )
+
+
+def _shooting_phase(
+    counts: tuple[int, ...],
+    active: list[int],
+    inv_alpha: float,
+    r: float,
+    v_limit: float,
+    w_limit: float,
+    p_hint: list[float],
+) -> "tuple[float, ...] | None":
+    """Warm local phase of the binding solve: Newton on (b_2, log c).
+
+    One adjoint gradient g at the hint gives its costate, b_{j+1} / b_1 =
+    g_j V_j / g_0, hence the start b_2 = g_1 V_1 / g_0; log c starts where
+    the powers along that costate put the hint's linearized V_N on
+    v_limit.  Each Newton step is one `_shoot` sweep.  Returns the powers
+    once |V_N - v_limit| < 1e-12 v_limit and the costate ratio is at its
+    rounding floor, provided they pass the binding solve's final checks
+    (one more adjoint gradient); None, to fall back to the outer
+    iteration, on N = 1, costate sign loss, a non-finite value, or no
+    residual decrease within _SHOT_STALL steps.
+    """
+    if len(counts) < 2:
+        return None
+    v_n, grad = _root_voltage_and_gradient(p_hint, r)
+    g0 = grad[0]
+    if not (math.isfinite(v_n) and g0 > 0.0):
+        return None
+    beta = grad[1] * (1.0 + r * p_hint[0]) / g0
+    # along q_j = x_j (g_j / g_0)^(-1/alpha) the powers are c^(-1/alpha) q,
+    # and V_N ~ v_n + g . (c^(-1/alpha) q - p_hint) = v_limit fixes c
+    lift = v_limit - v_n
+    slope = 0.0
+    for j in active:
+        gj = grad[j]
+        if not gj > 0.0:
+            return None
+        lift += gj * p_hint[j]
+        slope += gj * counts[j] * (gj / g0) ** -inv_alpha
+    if not lift > 0.0:
+        return None
+    ell = math.log(slope / lift) / inv_alpha
+    # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
+    # cancellation; its tolerance follows that floor
+    f2_tol = 4e-15 * max(len(counts) ** 2, 100)
+    best = math.inf
+    stall = 0
+    for _ in range(_MAX_SHOTS):
+        try:
+            shot = _shoot(counts, inv_alpha, r, beta, ell)
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if shot is None:
+            return None
+        p, v_n, f2, j11, j12, j21, j22 = shot
+        f1 = v_n - v_limit
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            return None
+        if abs(f1) < 1e-12 * v_limit and abs(f2) < f2_tol:
+            break
+        res = abs(f1) + abs(f2)
+        if res < best:
+            best, stall = res, 0
+        else:
+            stall += 1
+            if stall >= _SHOT_STALL:
+                return None
+        det = j11 * j22 - j12 * j21
+        if not (det != 0.0 and math.isfinite(det)):
+            return None
+        beta -= (f1 * j22 - f2 * j12) / det
+        ell -= (j11 * f2 - j21 * f1) / det
+    else:
+        return None
+    v_n, grad = _root_voltage_and_gradient(p, r)
+    if any(grad[j] <= 0.0 for j in active) or abs(w_limit - v_n * v_n) > 1e-9:
+        return None
+    return tuple(p)
 
 
 def _binding_solve(
@@ -158,10 +298,18 @@ def _binding_solve(
     which pins s.  Each outer step refreshes the direction with one adjoint
     gradient, then solves for s by Newton with one tangent pass (V_N and
     dV_N/ds) per step; one more adjoint pass checks the returned point.
-    ``p_hint`` warm-starts the direction (the simulator passes the previous
-    event's solution, one vehicle away); without it, or when it leaves an
-    occupied station unpowered, the linearized closed form seeds the
-    iteration.  Returns powers with |slack| <= 1e-9 in squared-voltage
+    Started from a neighbouring state's powers, as in an overloaded
+    simulation, this outer iteration takes about 7 gradients and 11
+    tangent passes.
+
+    ``p_hint`` warm-starts the solve (the simulator passes the previous
+    solved state's powers, typically one vehicle away).  A usable hint,
+    one that powers every occupied station, first runs `_shooting_phase`:
+    one adjoint gradient at the hint, about three two-tangent sweeps (each
+    costs about 2.5 adjoint gradients) and one adjoint gradient to check
+    the result.  Should that phase give up, the outer iteration starts from
+    the hint.  Without a usable hint the linearized closed form seeds the
+    outer iteration.  Returns powers with |slack| <= 1e-9 in squared-voltage
     units, or raises AllocationError.
     """
     n = cfg.n_stations
@@ -177,6 +325,9 @@ def _binding_solve(
         p_hint[j] > 0.0 for j in active
     ):
         p = [float(p_hint[j]) if counts[j] > 0 else 0.0 for j in range(n)]
+        shot = _shooting_phase(counts, active, inv_alpha, r, v_limit, w_limit, p)
+        if shot is not None:
+            return shot
     else:
         seed = alpha_fair_lindist(counts, spec, cfg)
         p = list(seed.p)
@@ -279,8 +430,6 @@ def _binding_solve(
     raise AllocationError(
         "direction iteration did not settle", {"state": counts, "outer": _MAX_OUTER}
     )
-
-
 
 
 def alpha_fair_distflow(

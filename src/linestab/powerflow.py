@@ -156,8 +156,10 @@ def distflow_from_root(v0: float, p: "PowerAllocation | Sequence[float]", r: flo
         V[j+1] = 2 V[j] - V[j-1] + r p[j] / V[j].
 
     The recursion is evaluated literally, left to right, in plain doubles.
-    Reordering it is not harmless: downstream tables are reproduced digit
-    for digit only because 2 V[j] - V[j-1] is exact in IEEE arithmetic.
+    Reordering it is not harmless: the downstream tables pin its digits,
+    rounding noise included, so the digits are reproduced, not exact.  At
+    N = 10^5 the literal V[N] is off by about 3e-9 relative (ROADMAP
+    item 4).
     """
     if not (math.isfinite(v0) and v0 > 0.0):
         raise ValueError(f"far-end voltage must be positive, got {v0!r}")

@@ -142,8 +142,12 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     Linearized allocations are a closed form and get evaluated inline.
     Distflow allocations go through the binding solve; solved states are
     cached under their gcd-normalized occupancy (the optimum only depends
-    on the ray through x), and cache misses warm-start from the previous
-    event's solution, one vehicle away.
+    on the ray through x), and cache misses warm-start from the last
+    solved state's powers, typically one vehicle away.  With that hint the
+    solve shoots on two unknowns, about three O(N) sweeps, and falls back
+    to its outer iteration from the same hint when shooting gives up (a
+    newly occupied station, which the hint leaves unpowered, skips the
+    shooting).
     """
     net = cfg.network
     n = net.n_stations

@@ -9,7 +9,7 @@ which is defined implicitly through the imaginary error function
 
 This module keeps the function zoo small: erfi, the inverse u_inverse of
 x -> sqrt(2) * int_0^x exp(u^2) du, and the base solution
-f0 = exp(u_inverse^2) with its inverse.
+f0 = exp(u_inverse^2).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "ERFI_ARG_MAX",
     "erfi",
     "f0",
-    "f0_inverse",
     "u_inverse",
 ]
 
@@ -135,9 +134,3 @@ def f0(x: float) -> float:
     """Base solution of f'' f = 1 with f(0) = 1, f'(0) = 0: exp(u_inverse(x)^2)."""
     return math.exp(u_inverse(x) ** 2)
 
-
-def f0_inverse(y: float) -> float:
-    """Inverse of f0 on y >= 1: sqrt(pi/2) * erfi(sqrt(log(y)))."""
-    if not math.isfinite(y) or y < 1.0:
-        raise ValueError(f"f0_inverse expects y >= 1, got {y!r}")
-    return _SQRT_HALF_PI * erfi(math.sqrt(math.log(y)))

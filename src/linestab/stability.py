@@ -34,7 +34,6 @@ __all__ = [
     "ConvergenceReport",
     "NewtonFailure",
     "NewtonTrace",
-    "continuum_voltage",
     "convergence_report",
     "lambda_dist",
     "lambda_dist_critical",
@@ -160,7 +159,11 @@ def newton_solve_a(
 
     Started at the continuum root a0 = (pi/2) erfi(sqrt(log 1/(1-delta)))^2,
     which already carries the right large-N behaviour, so a handful of
-    steps suffice even for N = 10^5.  Steps that would leave the window
+    steps suffice for moderate N.  Not for every N: the literal recursion's
+    rounding error in V_N grows to about 3e-9 at N = 10^5, the iteration
+    chatters at that floor, and newton_solve_a(100000, 0.1) raises
+    NewtonFailure after max_iter = 50 steps (ROADMAP item 1 holds the fix,
+    a bracketed, safeguarded Newton).  Steps that would leave the window
     (0, 2N/(N-1)) are halved until they land inside; the iteration stops
     when the relative step falls below stop_tol.
 
@@ -261,19 +264,6 @@ def lambda_dist(cfg: NetworkConfig, stop_tol: float = 1e-10) -> float:
     trace = newton_solve_a(cfg.n_stations, cfg.delta, stop_tol=stop_tol)
     n = cfg.n_stations
     return trace.a_final / (cfg.resistance * n * n)
-
-
-def continuum_voltage(a: float, t: float) -> float:
-    """Continuum squared-drop profile f0(t sqrt(a)) on the unit feeder.
-
-    Solves the boundary layer equation V'' V = a with V(0) = 1, V'(0) = 0;
-    t is the normalized position (0 far end, 1 root side).
-    """
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"a must be nonnegative, got {a!r}")
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    return f0(t * math.sqrt(a))
 
 
 def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> list[ConvergenceReport]:

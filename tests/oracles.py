@@ -5,7 +5,8 @@ different style from the package internals (numpy vectorization, mpmath
 big-float arithmetic, generic grid search, the squared-voltage and summed
 forms of the recursion, a dual-multiplier search for the fair split) so
 that agreement between the two routes is meaningful evidence rather than
-a tautology.
+a tautology.  The last section holds small helpers that only the tests
+call: the continuum profile, the inverse of f0 and the fairness utility.
 """
 
 import math
@@ -29,6 +30,7 @@ from linestab.powerflow import (
     _as_powers,
     _root_voltage_and_gradient,
 )
+from linestab.specfun import erfi, f0
 
 
 def erfi_quadrature(x: float) -> float:
@@ -498,3 +500,48 @@ def _dual_solve(
             "evals": evals,
         },
     )
+
+
+# ------------------------------------------------- helpers only tests call
+
+
+def continuum_voltage(a: float, t: float) -> float:
+    """Continuum squared-drop profile f0(t sqrt(a)) on the unit feeder.
+
+    Solves the boundary layer equation V'' V = a with V(0) = 1, V'(0) = 0;
+    t is the normalized position (0 far end, 1 root side).
+    """
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"a must be nonnegative, got {a!r}")
+    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    return f0(t * math.sqrt(a))
+
+
+def f0_inverse(y: float) -> float:
+    """Inverse of f0 on y >= 1: sqrt(pi/2) * erfi(sqrt(log(y)))."""
+    if not math.isfinite(y) or y < 1.0:
+        raise ValueError(f"f0_inverse expects y >= 1, got {y!r}")
+    return math.sqrt(0.5 * math.pi) * erfi(math.sqrt(math.log(y)))
+
+
+def fairness_utility(
+    rates: "PowerAllocation | Sequence[float]", x: "QueueState | Sequence[int]", alpha: float
+) -> float:
+    """Aggregate utility sum_j x_j U_alpha(p_j / x_j); empty stations are skipped."""
+    counts = _as_counts(x)
+    powers = tuple(float(v) for v in rates)
+    if len(powers) != len(counts):
+        raise ValueError("rates and queue lengths must have matching length")
+    total = 0.0
+    for xj, pj in zip(counts, powers):
+        if xj == 0:
+            continue
+        y = pj / xj
+        if alpha == 1.0:
+            total += xj * math.log(y) if y > 0.0 else -math.inf
+        elif alpha > 1.0:
+            total += xj * y ** (1.0 - alpha) / (1.0 - alpha) if y > 0.0 else -math.inf
+        else:
+            total += xj * y ** (1.0 - alpha) / (1.0 - alpha)
+    return total

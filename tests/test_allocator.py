@@ -1,17 +1,18 @@
 """Fair allocation layer: closed form, binding solve, and their oracles."""
 
 import math
+import random
 
 import pytest
 from scipy import optimize
 
+from linestab import allocator
 from linestab.allocator import (
     AllocationError,
     FairnessSpec,
     QueueState,
     alpha_fair_distflow,
     alpha_fair_lindist,
-    fairness_utility,
     _binding_solve,
 )
 from linestab.powerflow import (
@@ -22,7 +23,7 @@ from linestab.powerflow import (
     feasible,
     lindist_weighted_load,
 )
-from oracles import _dual_solve, grid_search_allocation
+from oracles import _dual_solve, fairness_utility, grid_search_allocation
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -266,6 +267,69 @@ class TestDistflowAllocator:
             alpha_fair_distflow([1], FairnessSpec(1.0), cfg)
         with pytest.raises(ValueError):
             alpha_fair_distflow([1, -1], FairnessSpec(1.0), cfg)
+
+
+def _spy_shooting(monkeypatch) -> list:
+    """Record what each shooting phase returns (None: it fell back)."""
+    results = []
+    phase = allocator._shooting_phase
+
+    def spy(*args):
+        out = phase(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(allocator, "_shooting_phase", spy)
+    return results
+
+
+class TestWarmChain:
+    """The simulator's path: every solve is warm-started from the powers of
+    the state before it, one vehicle away, and must land where a cold
+    route lands.
+    """
+
+    @pytest.mark.parametrize("n", [5, 20, 80])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_one_vehicle_walks_match_the_dual_oracle(self, monkeypatch, n, alpha):
+        rng = random.Random(1000 * n + int(4 * alpha))
+        cfg = NetworkConfig(n, rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.5))
+        spec = FairnessSpec(alpha)
+        total = 10.0 ** rng.uniform(2.0, 3.5)
+        x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
+        p = _binding_solve(tuple(x), spec, cfg)
+        shots = _spy_shooting(monkeypatch)
+        for _ in range(40):
+            j = rng.randrange(n)
+            x[j] += -1 if x[j] > 0 and rng.random() < 0.5 else 1
+            p = _binding_solve(tuple(x), spec, cfg, p_hint=p)
+            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            assert abs(slack) <= 1e-9
+            want, _ = _dual_solve(x, spec, cfg)
+            for a, b in zip(p, want):
+                assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+        # a hint that leaves a newly occupied station unpowered skips the
+        # phase; the rest must be answered by shooting, not by the fallback
+        assert len(shots) >= 30
+        assert all(s is not None for s in shots)
+
+    @pytest.mark.parametrize(
+        "x,hint_from",
+        [
+            ((7,), (3,)),  # one station: nothing to shoot
+            ((900, 5, 5, 5, 700), (1, 800, 900, 800, 1)),  # distant occupancy
+        ],
+    )
+    def test_fallback_gives_the_same_answer(self, monkeypatch, x, hint_from):
+        cfg = NetworkConfig(len(x), 2.0, 0.4)
+        spec = FairnessSpec(1.0)
+        hint = _binding_solve(hint_from, spec, cfg)
+        shots = _spy_shooting(monkeypatch)
+        warm = _binding_solve(x, spec, cfg, p_hint=hint)
+        assert shots == [None]
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(warm, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
 
 class TestRouteConsistency:

@@ -9,10 +9,9 @@ from linestab.specfun import (
     ERFI_ARG_MAX,
     erfi,
     f0,
-    f0_inverse,
     u_inverse,
 )
-from oracles import erfi_quadrature
+from oracles import erfi_quadrature, f0_inverse
 
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 

@@ -12,7 +12,6 @@ from linestab.stability import (
     ConvergenceReport,
     NewtonFailure,
     NewtonTrace,
-    continuum_voltage,
     convergence_report,
     lambda_dist,
     lambda_dist_critical,
@@ -21,6 +20,7 @@ from linestab.stability import (
     newton_solve_a,
     ratio_P,
 )
+from oracles import continuum_voltage
 
 
 class TestLambdaLin:
