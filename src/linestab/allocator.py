@@ -224,8 +224,11 @@ def _shooting_phase(
     once |V_N - v_limit| < 1e-12 v_limit and the costate ratio is at its
     rounding floor, provided they pass the binding solve's final checks
     (one more adjoint gradient); None, to fall back to the outer
-    iteration, on N = 1, costate sign loss, a non-finite value, or no
-    residual decrease within _SHOT_STALL steps.
+    iteration, on N = 1, costate sign loss, a non-finite value, no
+    residual decrease within _SHOT_STALL steps, or _MAX_SHOTS steps.
+    Where pow or exp would leave the floats it raises OverflowError or
+    ZeroDivisionError instead, which the binding solve also takes as a
+    fallback.
     """
     if len(counts) < 2:
         return None
@@ -244,7 +247,7 @@ def _shooting_phase(
             return None
         lift += gj * p_hint[j]
         slope += gj * counts[j] * (gj / g0) ** -inv_alpha
-    if not lift > 0.0:
+    if not (lift > 0.0 and 0.0 < slope / lift < math.inf):
         return None
     ell = math.log(slope / lift) / inv_alpha
     # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
@@ -253,10 +256,7 @@ def _shooting_phase(
     best = math.inf
     stall = 0
     for _ in range(_MAX_SHOTS):
-        try:
-            shot = _shoot(counts, inv_alpha, r, beta, ell)
-        except (OverflowError, ZeroDivisionError):
-            return None
+        shot = _shoot(counts, inv_alpha, r, beta, ell)
         if shot is None:
             return None
         p, v_n, f2, j11, j12, j21, j22 = shot
@@ -325,7 +325,10 @@ def _binding_solve(
         p_hint[j] > 0.0 for j in active
     ):
         p = [float(p_hint[j]) if counts[j] > 0 else 0.0 for j in range(n)]
-        shot = _shooting_phase(counts, active, inv_alpha, r, v_limit, w_limit, p)
+        try:
+            shot = _shooting_phase(counts, active, inv_alpha, r, v_limit, w_limit, p)
+        except (OverflowError, ZeroDivisionError):
+            shot = None  # pow or exp left the floats: fall back as well
         if shot is not None:
             return shot
     else:

@@ -270,12 +270,17 @@ class TestDistflowAllocator:
 
 
 def _spy_shooting(monkeypatch) -> list:
-    """Record what each shooting phase returns (None: it fell back)."""
+    """Record what each shooting phase returns (None: it fell back) or the
+    type of the arithmetic error it raised."""
     results = []
     phase = allocator._shooting_phase
 
     def spy(*args):
-        out = phase(*args)
+        try:
+            out = phase(*args)
+        except ArithmeticError as exc:
+            results.append(type(exc))
+            raise
         results.append(out)
         return out
 
@@ -330,6 +335,16 @@ class TestWarmChain:
         want, _ = _dual_solve(x, spec, cfg)
         for a, b in zip(warm, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+    def test_hint_whose_costate_overflows_pow_falls_back(self, monkeypatch):
+        # gradient ratios near 1e-151 raised to 1/alpha = 3.3 overflow a
+        # double; that is a fallback, and the outer iteration reports the
+        # unusable hint as an AllocationError
+        cfg = NetworkConfig(3, 1.0, 0.1)
+        shots = _spy_shooting(monkeypatch)
+        with pytest.raises(AllocationError):
+            _binding_solve((1, 1, 1), FairnessSpec(0.3), cfg, p_hint=[1e150, 1e-10, 1e-10])
+        assert shots == [OverflowError]
 
 
 class TestRouteConsistency:
