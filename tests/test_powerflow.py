@@ -415,19 +415,28 @@ class TestSensitivity:
     @pytest.mark.parametrize("n", [1, 2, 5, 40, 1000, 100000])
     @pytest.mark.parametrize("a", [0.01, 0.3, 1.2, 1.9])
     def test_matches_oracle_profile_exactly(self, n, a):
-        # every a here is below 2 <= 2n/(n-1), inside the blow-up bound
         v, y = distflow_sensitivity_profile(a, n)
         assert distflow_sensitivity(a, n) == (v[n], y[n])
+
+    @pytest.mark.parametrize("a,n", [(4.0, 2), (3.0, 3)])
+    def test_past_2n_over_n_minus_1_matches_oracle_profile(self, a, n):
+        # 2n/(n-1) bounds nothing: the recursion is defined for every a >= 0
+        v, y = distflow_sensitivity_profile(a, n)
+        assert distflow_sensitivity(a, n) == (v[n], y[n])
+
+    @pytest.mark.parametrize("n", [2, 30, 1000])
+    @pytest.mark.parametrize("a", [3.0, 1e3, 1e100, 1e300])
+    def test_finite_with_positive_slope_for_any_load(self, n, a):
+        v_n, y_n = distflow_sensitivity(a, n)
+        assert math.isfinite(v_n) and v_n > 1.0
+        assert math.isfinite(y_n) and y_n > 0.0
 
     def test_single_station_has_no_blow_up_bound(self):
         v, y = distflow_sensitivity_profile(5.0, 1)
         assert v == [1.0, 6.0]
         assert y == [0.0, 1.0]
 
-    @pytest.mark.parametrize(
-        "a,n",
-        [(4.0, 2), (3.0, 3), (-0.1, 4), (math.nan, 4)],
-    )
+    @pytest.mark.parametrize("a,n", [(-0.1, 4), (math.nan, 4)])
     def test_rejects_out_of_range(self, a, n):
         with pytest.raises(ValueError):
             distflow_sensitivity(a, n)

@@ -5,7 +5,9 @@ between the two load-flow models.
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from linestab import stability
 from linestab.powerflow import NetworkConfig, PowerModel, distflow_sensitivity, feasible
 from linestab.specfun import erfi, f0
 from linestab.stability import (
@@ -20,7 +22,7 @@ from linestab.stability import (
     newton_solve_a,
     ratio_P,
 )
-from oracles import continuum_voltage
+from oracles import continuum_voltage, threshold_root_mp
 
 
 class TestLambdaLin:
@@ -72,7 +74,7 @@ class TestNewton:
             v_target, _ = distflow_sensitivity(a_true, n)
             delta = 1.0 - 1.0 / v_target
             trace = newton_solve_a(n, delta)
-            assert trace.converged and trace.in_window
+            assert trace.converged
             assert trace.a_final == pytest.approx(a_true, rel=1e-9)
 
     def test_trace_is_internally_consistent(self):
@@ -99,26 +101,27 @@ class TestNewton:
             assert trace.iterations <= 8
 
     def test_start_clamped_when_continuum_root_pokes_past_window(self):
-        # n = 10, delta = 0.5: a0 = 2.30 > 2n/(n-1) = 2.22, yet the actual
-        # root is inside, so the clamped start must still converge
+        # n = 10, delta = 0.5: a0 = 2.30 > 2n/(n-1) = 2.22, where the start
+        # is capped; the root lies below the cap and must still be reached
         trace = newton_solve_a(10, 0.5)
         upper = 2.0 * 10 / 9.0
         assert trace.a0 > upper
         assert trace.iterates[0] < upper
-        assert trace.converged and trace.in_window
+        assert trace.converged
         assert abs(trace.residuals[-1]) <= 1e-10
 
-    def test_unreachable_cap_raises(self):
-        # on a long feeder the delta = 1/2 cap sits past the window edge;
-        # the step criterion alone would accept the pinned iterate
-        with pytest.raises(NewtonFailure) as err:
-            newton_solve_a(400, 0.5)
-        trace = err.value.trace
-        assert not trace.converged
-        assert trace.in_window
-        assert trace.residuals[-1] < 0.0  # voltage never reaches the cap
-        with pytest.raises(NewtonFailure):
-            lambda_dist(NetworkConfig(400, 1.0, 0.5))
+    def test_half_delta_long_feeder_lands_on_the_cap(self):
+        # n = 400, delta = 1/2: the root 2.29 lies well past 2n/(n-1) =
+        # 2.005, where the start is capped; nothing bounds the iterates there
+        trace = newton_solve_a(400, 0.5)
+        assert trace.converged
+        assert trace.a_final > 2.0 * 400 / 399.0
+        assert abs(trace.residuals[-1]) <= 1e-12
+        cfg = NetworkConfig(400, 1.0, 0.5)
+        lam = lambda_dist(cfg)
+        _, slack = feasible([lam] * 400, cfg, PowerModel.DISTFLOW)
+        assert abs(slack) <= 1e-10 * cfg.w_limit
+        assert not feasible([lam * (1.0 + 1e-8)] * 400, cfg, PowerModel.DISTFLOW)[0]
 
     def test_looser_tolerance_never_needs_more_steps(self):
         tight = newton_solve_a(50, 0.2, stop_tol=1e-12)
@@ -151,10 +154,100 @@ class TestNewton:
             newton_solve_a(**kwargs)
 
 
+class TestThresholdRoot:
+    """newton_solve_a against the mpmath root, and on its whole domain."""
+
+    def test_half_delta_matches_mpmath(self):
+        a_true = threshold_root_mp(400, 0.5)
+        assert a_true == pytest.approx(2.2948521361532439, rel=1e-15)
+        assert newton_solve_a(400, 0.5).a_final == pytest.approx(a_true, rel=1e-11)
+
+    def test_rounding_floor_is_reached_not_chattered_at(self):
+        # the literal recursion's V_N is only good to ~5e-10 at N = 3e4, and
+        # the root it gives to ~1.2e-7; the iteration must stop there
+        trace = newton_solve_a(30_000, 0.01)
+        assert trace.converged
+        assert trace.a_final == pytest.approx(threshold_root_mp(30_000, 0.01), rel=2e-7)
+
+    def test_walks_a_flat_step_of_the_rounded_staircase(self):
+        # at N = 1e4 the rounded V_N(a) is constant over ~5e-10 relative in
+        # a around a = 0.01; Newton must walk that step to the exact root
+        # of the rounded map rather than stop on its repeated residual
+        v = distflow_sensitivity(0.01, 10_000)[0]
+        trace = newton_solve_a(10_000, 1.0 - 1.0 / v)
+        assert trace.residuals[-1] == 0.0
+        assert trace.a_final == pytest.approx(0.01, rel=1e-10)
+
+    def test_largest_feeder_converges(self):
+        trace = newton_solve_a(100_000, 0.1)
+        assert trace.converged
+        assert abs(trace.residuals[-1]) <= 1e-10
+
+    @given(
+        log_n=st.floats(math.log(2.0), math.log(3000.0)),
+        delta=st.floats(0.005, 0.5),
+    )
+    def test_root_is_a_sign_change_on_the_cap(self, log_n, delta):
+        n = max(2, min(3000, round(math.exp(log_n))))
+        target = 1.0 / (1.0 - delta)
+        trace = newton_solve_a(n, delta)
+        a = trace.a_final
+        assert trace.converged
+        assert abs(distflow_sensitivity(a, n)[0] - target) <= 1e-9
+        assert distflow_sensitivity(a * (1.0 - 1e-8), n)[0] < target
+        assert distflow_sensitivity(a * (1.0 + 1e-8), n)[0] > target
+
+
+class TestSafeguards:
+    """The bracket and the floor stop, on synthetic maps in place of V_N."""
+
+    @staticmethod
+    def _solve(monkeypatch, fake, n, delta):
+        monkeypatch.setattr(stability, "distflow_sensitivity", fake)
+        return newton_solve_a(n, delta)
+
+    def test_bisects_where_plain_newton_diverges(self, monkeypatch):
+        # V = 2 + atan(3 (a - 1)) / 10 hits the delta = 1/2 cap at a = 1;
+        # from the capped start 2.22 a plain Newton step lands at a < 0
+        def fake(a, n):
+            x = 3.0 * (a - 1.0)
+            return 2.0 + 0.1 * math.atan(x), n * n * 0.3 / (1.0 + x * x)
+
+        trace = self._solve(monkeypatch, fake, 10, 0.5)
+        assert trace.converged
+        assert trace.a_final == pytest.approx(1.0, rel=1e-12)
+        assert all(0.0 < a <= trace.iterates[0] for a in trace.iterates)
+
+    def test_floor_stop_accepts_the_smallest_residual(self, monkeypatch):
+        # a staircase that steps over the cap: no a has a residual below
+        # 3e-8, and bisection alone would run on to a 1e-10 relative step
+        target = 1.0 / 0.9
+        r0, width, height = 0.2, 1e-6, 1e-7
+
+        def fake(a, n):
+            k = math.floor((a - r0) / width)
+            return target + (k + 0.3) * height, n * n * height / width
+
+        trace = self._solve(monkeypatch, fake, 10, 0.1)
+        assert trace.converged
+        assert trace.iterations <= 8
+        best = min(trace.residuals[:-1], key=abs)
+        assert trace.residuals[-1] == best
+        assert trace.a_final == trace.iterates[trace.residuals.index(best)]
+
+
+    def test_tolerance_below_the_floor_ends_on_the_best_residual(self):
+        # no step can fall below 1e-300 relative, so only the floor stop
+        # (here the 4-ulp bracket) ends the run
+        trace = newton_solve_a(50, 0.2, stop_tol=1e-300)
+        assert trace.converged
+        assert abs(trace.residuals[-1]) == min(abs(r) for r in trace.residuals)
+
+
 class TestLambdaDist:
     def test_uniform_allocation_at_threshold_is_critical(self, rng):
-        # delta capped at 0.45: above that the root can leave the window on
-        # large feeders (exercised separately below)
+        # delta up to 0.45 keeps this test's draws; delta up to 0.5 is
+        # covered by TestThresholdRoot
         for _ in range(10):
             n = rng.randint(2, 30)
             r = rng.uniform(0.1, 3.0)
