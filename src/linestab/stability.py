@@ -205,7 +205,7 @@ def newton_solve_a(
     a_cur = a_start
     lo, hi = 0.0, math.inf
     best_a, best_resid, prev_resid, stale = a_start, math.inf, math.nan, 0
-    converged = floored = False
+    converged = False
     for _ in range(max_iter):
         v_n, y_n = distflow_sensitivity(a_cur, n)
         resid = v_n - target
@@ -226,7 +226,10 @@ def newton_solve_a(
             stale += 1
         prev_resid = resid
         if stale >= 2 or (hi < math.inf and hi - lo <= 4.0 * math.ulp(hi)):
-            floored = True
+            # rounding floor: accept the best evaluated iterate as it stands
+            iterates.append(best_a)
+            residuals.append(best_resid)
+            converged = True
             break
         a_next = a_cur - resid / (y_n / (n * n))
         rel_step = abs(a_next - a_cur) / abs(a_cur)
@@ -240,11 +243,7 @@ def newton_solve_a(
         if rel_step < stop_tol:
             converged = True
             break
-    if floored:
-        iterates.append(best_a)
-        residuals.append(best_resid)
-        converged = True
-    else:
+    if len(residuals) < len(iterates):
         residuals.append(distflow_sensitivity(a_cur, n)[0] - target)
     if converged and abs(residuals[-1]) > 1e-6 * target:
         raise NewtonFailure(
