@@ -199,7 +199,7 @@ class TestGradient:
         a=st.floats(0.0, 1.9),
     )
     def test_adjoint_matches_forward_mode(self, shares, r, a):
-        # every load at most a / (r N^2) with a < 2: below the uniform blow-up
+        # every load at most a / (r N^2) with a < 2
         n = len(shares)
         p = [u * a / (r * n * n) for u in shares]
         grad = distflow_gradient(p, r)
