@@ -4,8 +4,10 @@ Each subcommand evaluates one family of quantities and emits CSV: a header
 row, comma separators, '.' decimal point, floats at 15 significant digits,
 independent of locale.  With --out the CSV goes to a file and a JSON run
 manifest is written next to it (<out>.manifest.json) recording the command,
-all parameter values, the seed and the tool version; re-running a manifest
-(`manifest_to_argv`) reproduces the CSV byte for byte.  Without --out the
+every flag the command parsed (defaults included, unset optional ones
+left out), the seed and the tool version; re-running a manifest
+(`manifest_to_argv`) reproduces the CSV byte for byte.  Input checks
+live in the library, whose ValueError maps to exit 2.  Without --out the
 CSV goes to stdout and no manifest is written.
 
 Exit codes: 0 success, 2 flag validation, 3 solver failure, 4 simulation
@@ -102,11 +104,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _param(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_param(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def _write_output(
-    args: argparse.Namespace,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    parameters: dict[str, str],
+    args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -116,6 +121,11 @@ def _write_output(
         return
     out = Path(args.out)
     out.write_text(text, encoding="ascii", newline="")
+    parameters = {
+        key.replace("_", "-"): _param(value)
+        for key, value in vars(args).items()
+        if key not in ("command", "func", "out", "seed") and value is not None
+    }
     manifest = RunManifest(
         command=args.command,
         parameters=parameters,
@@ -142,14 +152,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _canon_floats(values: Sequence[float]) -> str:
-    return ",".join(repr(v) for v in values)
-
-
-def _canon_ints(values: Sequence[int]) -> str:
-    return ",".join(str(v) for v in values)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -160,8 +162,6 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         else [PowerModel(args.model)]
     )
     cfg = NetworkConfig(n_stations=args.n, resistance=args.r, delta=args.delta)
-    if PowerModel.DISTFLOW in models and args.n < 2:
-        raise _Usage("--model distflow needs --n >= 2")
     header = ["model", "n", "r", "delta", "lambda_n", "n2_lambda_n", "lambda_critical"]
     rows = []
     for model in models:
@@ -174,101 +174,56 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         rows.append(
             [model.value, args.n, args.r, args.delta, lam, args.n * args.n * lam, crit]
         )
-    _write_output(
-        args,
-        header,
-        rows,
-        {
-            "n": str(args.n),
-            "r": repr(args.r),
-            "delta": repr(args.delta),
-            "model": args.model,
-        },
-    )
+    _write_output(args, header, rows)
     return EXIT_OK
 
 
 def _cmd_newton(args: argparse.Namespace) -> int:
-    for a in args.a:
-        if not 0.0 < a < 2.0:
-            raise _Usage(f"--a values must lie in (0, 2), got {a:g}")
-    for n in args.n:
-        if n < 2:
-            raise _Usage(f"--n values must be >= 2, got {n}")
     rows = []
     for a in args.a:
         for n in args.n:
-            v_target = distflow_sensitivity(a, n)[0]
+            # a load is recoverable when its forward cap V_N(a) is a drop
+            # tolerance in (0, 1/2]: a > 0 and V_N(a) <= 2
+            v_target = distflow_sensitivity(a, n)[0] if a > 0.0 else 1.0
             delta = 1.0 - 1.0 / v_target
-            trace = newton_solve_a(n, delta, stop_tol=args.stop_tol)
+            if not 0.0 < delta <= 0.5:
+                raise ValueError(
+                    f"--a {a:g} at --n {n} gives drop tolerance {delta:.6g}; "
+                    "--a must be > 0 with V_N(a) <= 2, a tolerance in (0, 0.5]"
+                )
+            trace = newton_solve_a(n, delta)
             rows.append([n, v_target, trace.a0, trace.a_final, trace.iterations])
-    _write_output(
-        args,
-        ["n", "v_limit", "a0", "a_final", "iterations"],
-        rows,
-        {
-            "a": _canon_floats(args.a),
-            "n": _canon_ints(args.n),
-            "stop-tol": repr(args.stop_tol),
-        },
-    )
+    _write_output(args, ["n", "v_limit", "a0", "a_final", "iterations"], rows)
     return EXIT_OK
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
     if args.delta is not None:
-        grid = list(args.delta)
+        grid = args.delta
     else:
         lo, hi, count = args.delta_min, args.delta_max, args.points
         if not 0.0 < lo <= hi <= 0.5:
-            raise _Usage("grid bounds must satisfy 0 < min <= max <= 0.5")
+            raise ValueError("--delta-min and --delta-max must satisfy 0 < min <= max <= 0.5")
         if count < 2:
-            raise _Usage("--points must be >= 2")
+            raise ValueError("--points must be >= 2")
         step = (hi - lo) / (count - 1)
         grid = [lo + i * step for i in range(count - 1)]
         grid.append(hi)  # endpoint exact, no accumulated rounding
-    for d in grid:
-        if not 0.0 < d <= 0.5:
-            raise _Usage(f"delta values must lie in (0, 0.5], got {d:g}")
-    rows = [[d, ratio_P(d)] for d in grid]
-    if args.delta is not None:
-        params = {"delta": _canon_floats(args.delta)}
-    else:
-        params = {
-            "delta-min": repr(args.delta_min),
-            "delta-max": repr(args.delta_max),
-            "points": str(args.points),
-        }
-    _write_output(args, ["delta", "ratio"], rows, params)
+    _write_output(args, ["delta", "ratio"], [[d, ratio_P(d)] for d in grid])
     return EXIT_OK
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if args.a < 0.0:
-        raise _Usage(f"--a must be nonnegative, got {args.a:g}")
-    for n in args.n:
-        if n < 2:
-            raise _Usage(f"--n values must be >= 2, got {n}")
     rows = [
         [rep.n, rep.v_discrete, rep.v_continuum, rep.abs_err, rep.rel_err]
         for rep in convergence_report(args.a, args.n)
     ]
-    _write_output(
-        args,
-        ["n", "v_discrete", "v_continuum", "abs_err", "rel_err"],
-        rows,
-        {
-            "a": repr(args.a),
-            "n": _canon_ints(args.n),
-        },
-    )
+    _write_output(args, ["n", "v_discrete", "v_continuum", "abs_err", "rel_err"], rows)
     return EXIT_OK
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     counts = args.x
-    if not counts:
-        raise _Usage("--x must contain at least one station")
     cfg = NetworkConfig(n_stations=len(counts), resistance=args.r, delta=args.delta)
     spec = FairnessSpec(alpha=args.alpha)
     model = PowerModel(args.model)
@@ -279,30 +234,14 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     _, slack = feasible(alloc, cfg, model)
     rows = [[j, counts[j], alloc.p[j]] for j in range(len(counts))]
     rows.append(["slack", "", slack])
-    _write_output(
-        args,
-        ["station", "queue", "power"],
-        rows,
-        {
-            "x": _canon_ints(counts),
-            "alpha": repr(args.alpha),
-            "r": repr(args.r),
-            "delta": repr(args.delta),
-            "model": args.model,
-        },
-    )
+    _write_output(args, ["station", "queue", "power"], rows)
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = NetworkConfig(n_stations=args.n, resistance=args.r, delta=args.delta)
     model = PowerModel(args.model)
-    if model is PowerModel.LINDIST:
-        lam_base = lambda_lin(cfg)
-    else:
-        if args.n < 2:
-            raise _Usage("--model distflow needs --n >= 2")
-        lam_base = lambda_dist(cfg)
+    lam_base = lambda_lin(cfg) if model is PowerModel.LINDIST else lambda_dist(cfg)
     horizon = args.horizon if args.horizon is not None else 1.0  # probe raises it
     base = SimConfig(
         network=cfg,
@@ -331,18 +270,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ]
         for row in probe
     ]
-    params = {
-        "n": str(args.n),
-        "r": repr(args.r),
-        "delta": repr(args.delta),
-        "alpha": repr(args.alpha),
-        "model": args.model,
-        "mult": _canon_floats(args.mult),
-        "replications": str(args.replications),
-        "events": str(args.events),
-    }
-    if args.horizon is not None:
-        params["horizon"] = repr(args.horizon)
     _write_output(
         args,
         [
@@ -355,7 +282,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "max_queue",
         ],
         rows_out,
-        params,
     )
     if args.out is not None:
         # first replication of each multiplier, for plotting queue paths
@@ -369,10 +295,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "\n".join(lines) + "\n", encoding="ascii", newline=""
             )
     return EXIT_OK
-
-
-class _Usage(Exception):
-    """Flag validation failure past argparse's own checks."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--a", type=_float_list, required=True, help="scaled loads, e.g. 0.01,0.05")
     p.add_argument("--n", type=_int_list, required=True, help="feeder sizes, e.g. 10,100")
-    p.add_argument("--stop-tol", type=float, default=1e-10, dest="stop_tol")
     p.set_defaults(func=_cmd_newton)
 
     p = sub.add_parser("ratio", parents=[common], help="Distflow/linearized threshold ratio")
@@ -448,8 +369,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     except (NewtonFailure, AllocationError, ArithmeticError) as exc:

@@ -286,7 +286,6 @@ def stability_probe(
     base: SimConfig,
     multipliers: Sequence[float],
     replications: int = 5,
-    eps_drift: "float | None" = None,
     q_cap: "float | None" = None,
     min_events: int = 100_000,
 ) -> list[ProbeRow]:
@@ -296,10 +295,10 @@ def stability_probe(
     rate m * base.arrival_rate (seeds base.seed + k) and long enough to see
     at least min_events events in expectation; each run is sampled on 512
     grid points regardless of base.sample_interval.  A run votes stable
-    when its drift stays below eps_drift (default 0.05 * N * lambda) *and*
-    its queue peak stays below q_cap (default 50 N); it votes unstable when
-    the drift exceeds eps_drift.  A strict majority either way decides;
-    anything else is INCONCLUSIVE.
+    when its drift stays below eps = 0.05 * N * lambda (kept as
+    ProbeRow.eps_drift) *and* its queue peak stays below q_cap (default
+    50 N); it votes unstable when the drift exceeds eps.  A strict
+    majority either way decides; anything else is INCONCLUSIVE.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -311,7 +310,7 @@ def stability_probe(
         if not (math.isfinite(m) and m > 0.0):
             raise ValueError(f"multipliers must be positive, got {m!r}")
         lam = m * base.arrival_rate
-        eps = 0.05 * n * lam if eps_drift is None else eps_drift
+        eps = 0.05 * n * lam
         cap = 50.0 * n if q_cap is None else q_cap
         horizon = max(base.horizon, 1.05 * min_events / (n * lam))
         drifts: list[float] = []

@@ -30,8 +30,8 @@ _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 # exp(x*x) overflows past this point, and erfi(x) ~ exp(x^2) / (x sqrt(pi)).
 ERFI_ARG_MAX = math.sqrt(math.log(sys.float_info.max))
 
-#: default residual tolerance for the scalar inversions in this module
-RESIDUAL_TOL = 1e-13
+# residual bound that u_inverse verifies before returning
+_INVERSE_TOL = 1e-13
 
 
 def erfi(x: float) -> float:
@@ -72,14 +72,14 @@ def erfi(x: float) -> float:
 _U_ARG_MAX = _SQRT_HALF_PI * erfi(ERFI_ARG_MAX)
 
 
-def u_inverse(x: float, tol: float = RESIDUAL_TOL) -> float:
+def u_inverse(x: float) -> float:
     """Solve sqrt(2) * int_0^U exp(u^2) du = x for U >= 0.
 
     Equivalently erfi(U) = x * sqrt(2/pi).  Safeguarded Newton iteration:
     steps that leave the current root bracket are replaced by bisection, so
     the quadratic convergence of Newton is kept without losing the global
-    guarantee.  The iteration runs to machine precision; ``tol`` only sets
-    the residual bound that is verified before returning.
+    guarantee.  The iteration runs to machine precision; the residual is
+    then checked against a bound of 1e-13 relative, plus the ulp slack.
     """
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"u_inverse expects x >= 0, got {x!r}")
@@ -121,12 +121,12 @@ def u_inverse(x: float, tol: float = RESIDUAL_TOL) -> float:
             break
         u = u_next
     # a root pinned to the last ulp still moves the residual by the local
-    # derivative, so grant that much on top of the requested bound
+    # derivative, so grant that much on top of the bound
     ulp_slack = (
         8.0 * sys.float_info.epsilon * u * math.sqrt(2.0) * math.exp(min(u * u, 709.0))
     )
-    if abs(residual(u)) > tol * max(1.0, x) + ulp_slack:
-        raise ArithmeticError(f"u_inverse({x:g}) residual above {tol:g}")
+    if abs(residual(u)) > _INVERSE_TOL * max(1.0, x) + ulp_slack:
+        raise ArithmeticError(f"u_inverse({x:g}) residual above {_INVERSE_TOL:g}")
     return u
 
 

@@ -32,6 +32,8 @@ from .powerflow import NetworkConfig, distflow_sensitivity
 from .specfun import erfi, f0
 
 __all__ = [
+    "ITERATION_CAP",
+    "STEP_TOL",
     "ConvergenceReport",
     "NewtonFailure",
     "NewtonTrace",
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+
+# `newton_solve_a` accepts a root once its relative step falls below
+# STEP_TOL, and raises NewtonFailure after ITERATION_CAP iterations
+STEP_TOL = 1e-10
+ITERATION_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -146,9 +153,7 @@ def ratio_P(delta: float) -> float:
     return 2.0 * (1.0 - delta) ** 2 * integral * integral / (delta * (2.0 - delta))
 
 
-def newton_solve_a(
-    n: int, delta: float, stop_tol: float = 1e-10, max_iter: int = 50
-) -> NewtonTrace:
+def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     """Solve V_N(a) = 1/(1 - delta) for the scaled uniform load a.
 
     Bracketed, safeguarded Newton iteration on the forward recursion
@@ -168,7 +173,7 @@ def newton_solve_a(
     behaviour.  V_N is concave in a, so in exact arithmetic the Newton
     steps approach the root from below and never leave the bracket; the
     safeguards act on rounding noise and on roots past the capped start.
-    The iteration stops when the relative step falls below stop_tol, or
+    The iteration stops when the relative step falls below STEP_TOL, or
     at the recursion's rounding floor: when |residual| has not fallen for
     two evaluations, or a finite bracket is at most 4 ulps wide.  The
     floor stop accepts the evaluated iterate with the smallest |residual|.
@@ -182,16 +187,12 @@ def newton_solve_a(
     1.2e-7 at N = 3e4 with delta = 0.01, and 3.4e-6 at N = 1e5 with
     delta = 0.01; larger delta does better.
 
-    Raises NewtonFailure when max_iter runs out, or when the accepted
-    residual exceeds 1e-6 of the drop cap.
+    Raises NewtonFailure after ITERATION_CAP iterations, or when the
+    accepted residual exceeds 1e-6 of the drop cap.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     _validate_delta(delta)
-    if not (0.0 < stop_tol < 1.0):
-        raise ValueError(f"stop_tol must lie in (0, 1), got {stop_tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
     target = 1.0 / (1.0 - delta)
     a0 = _HALF_PI * erfi(math.sqrt(_log_v_limit(delta))) ** 2
@@ -206,7 +207,7 @@ def newton_solve_a(
     lo, hi = 0.0, math.inf
     best_a, best_resid, prev_resid, stale = a_start, math.inf, math.nan, 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ITERATION_CAP):
         v_n, y_n = distflow_sensitivity(a_cur, n)
         resid = v_n - target
         residuals.append(resid)
@@ -234,13 +235,13 @@ def newton_solve_a(
         a_next = a_cur - resid / (y_n / (n * n))
         rel_step = abs(a_next - a_cur) / abs(a_cur)
         # a zero residual gives a zero step and stops below; a step under
-        # stop_tol is accepted as the root wherever it lands
-        if rel_step >= stop_tol and not lo < a_next < hi:
+        # STEP_TOL is accepted as the root wherever it lands
+        if rel_step >= STEP_TOL and not lo < a_next < hi:
             a_next = 2.0 * a_cur if hi == math.inf else 0.5 * (lo + hi)
             rel_step = abs(a_next - a_cur) / abs(a_cur)
         iterates.append(a_next)
         a_cur = a_next
-        if rel_step < stop_tol:
+        if rel_step < STEP_TOL:
             converged = True
             break
     if len(residuals) < len(iterates):
@@ -254,7 +255,7 @@ def newton_solve_a(
     trace = _make_trace(a0, iterates, residuals, converged)
     if not converged:
         raise NewtonFailure(
-            f"no convergence within {max_iter} iterations (n = {n}, delta = {delta:g})",
+            f"no convergence within {ITERATION_CAP} iterations (n = {n}, delta = {delta:g})",
             trace,
         )
     return trace
@@ -276,13 +277,14 @@ def _make_trace(
     )
 
 
-def lambda_dist(cfg: NetworkConfig, stop_tol: float = 1e-10) -> float:
+def lambda_dist(cfg: NetworkConfig) -> float:
     """Exact per-station critical arrival rate, full Distflow model.
 
-    a_bar / (r N^2) with a_bar from `newton_solve_a`; requires N >= 2
-    (the N = 1 threshold is the same under both models).
+    a_bar / (r N^2) with a_bar from `newton_solve_a`, run to its fixed
+    STEP_TOL and ITERATION_CAP; requires N >= 2 (the N = 1 threshold is
+    the same under both models).
     """
-    trace = newton_solve_a(cfg.n_stations, cfg.delta, stop_tol=stop_tol)
+    trace = newton_solve_a(cfg.n_stations, cfg.delta)
     n = cfg.n_stations
     return trace.a_final / (cfg.resistance * n * n)
 

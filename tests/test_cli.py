@@ -9,6 +9,7 @@ byte.
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 import linestab.cli as cli
 from linestab import __version__
 from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
-from linestab.cli import RunManifest, main, manifest_to_argv
+from linestab.cli import RunManifest, build_parser, main, manifest_to_argv
 from linestab.powerflow import NetworkConfig, distflow_voltages
 from linestab.simulator import SimulationError
 from linestab.stability import (
@@ -111,6 +112,17 @@ class TestNewtonCmd:
         _exits_2(capsys, "newton", "--a", "2.5", "--n", "10")
         _exits_2(capsys, "newton", "--a", "-0.3", "--n", "10")
         _exits_2(capsys, "newton", "--a", "0.01", "--n", "1")
+
+    def test_load_past_two_is_recovered_on_a_long_feeder(self, capsys):
+        # the N = 400 limit is a = 2.2949, so a = 2.2 has a cap below 2
+        rows = _run(capsys, "newton", "--a", "2.2", "--n", "400")
+        assert float(rows[1][3]) == pytest.approx(2.2, rel=1e-9)
+
+    @pytest.mark.parametrize("a, n", [("1.8", "2"), ("2.5", "10")])
+    def test_cap_past_half_delta_names_load_and_size(self, capsys, a, n):
+        err = _exits_2(capsys, "newton", "--a", a, "--n", n)
+        assert f"--a {a} at --n {n}" in err
+        assert "delta must lie" not in err
 
 
 class TestRatioCmd:
@@ -225,7 +237,48 @@ class TestSimulateCmd:
         assert "simulation abort" in capsys.readouterr().err
 
 
+def _recorded_flags(argv: list[str]) -> set[str]:
+    """Flags of argv's subcommand, bar --out and --seed, that parse to a value."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        action.option_strings[0][2:]
+        for action in sub.choices[argv[0]]._actions
+        if action.option_strings
+        and action.dest not in ("help", "out", "seed")
+        and getattr(args, action.dest) is not None
+    }
+
+
 class TestManifest:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--n", "10", "--delta", "0.05", "--model", "distflow"],
+            ["newton", "--a", "0.01,0.1", "--n", "10,100"],
+            ["ratio", "--delta", "0.01,0.1"],
+            ["ratio", "--delta-min", "0.05", "--delta-max", "0.3", "--points", "6"],
+            ["converge", "--a", "0.05", "--n", "10,100"],
+            ["allocate", "--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"],
+            ["simulate", "--n", "2", "--delta", "0.2", "--mult", "0.8",
+             "--replications", "1", "--events", "500", "--horizon", "0.5",
+             "--seed", "3"],
+        ],
+        ids=["thresholds", "newton", "ratio-list", "ratio-grid", "converge",
+             "allocate", "simulate"],
+    )
+    def test_replay_records_every_flag(self, tmp_path, capsys, argv):
+        out1 = tmp_path / "run.csv"
+        assert main([*argv, "--out", str(out1)]) == 0
+        manifest = RunManifest.from_json(
+            (tmp_path / "run.csv.manifest.json").read_text()
+        )
+        assert set(manifest.parameters) == _recorded_flags(argv)
+        out2 = tmp_path / "replay.csv"
+        assert main(manifest_to_argv(manifest, out=str(out2))) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_thresholds_replay_is_byte_identical(self, tmp_path, capsys):
         out1 = tmp_path / "thresholds.csv"
         assert main(["thresholds", "--n", "10", "--delta", "0.05",

@@ -123,15 +123,10 @@ class TestNewton:
         assert abs(slack) <= 1e-10 * cfg.w_limit
         assert not feasible([lam * (1.0 + 1e-8)] * 400, cfg, PowerModel.DISTFLOW)[0]
 
-    def test_looser_tolerance_never_needs_more_steps(self):
-        tight = newton_solve_a(50, 0.2, stop_tol=1e-12)
-        loose = newton_solve_a(50, 0.2, stop_tol=1e-4)
-        assert loose.iterations <= tight.iterations
-        assert loose.a_final == pytest.approx(tight.a_final, rel=1e-3)
-
-    def test_failure_carries_partial_trace(self):
+    def test_failure_carries_partial_trace(self, monkeypatch):
+        monkeypatch.setattr(stability, "ITERATION_CAP", 1)
         with pytest.raises(NewtonFailure) as err:
-            newton_solve_a(10, 0.3, max_iter=1)
+            newton_solve_a(10, 0.3)
         trace = err.value.trace
         assert isinstance(trace, NewtonTrace)
         assert not trace.converged
@@ -144,9 +139,6 @@ class TestNewton:
             dict(n=10.0, delta=0.1),
             dict(n=10, delta=0.0),
             dict(n=10, delta=0.51),
-            dict(n=10, delta=0.1, stop_tol=0.0),
-            dict(n=10, delta=0.1, stop_tol=1.0),
-            dict(n=10, delta=0.1, max_iter=0),
         ],
     )
     def test_validation(self, kwargs):
@@ -236,10 +228,11 @@ class TestSafeguards:
         assert trace.a_final == trace.iterates[trace.residuals.index(best)]
 
 
-    def test_tolerance_below_the_floor_ends_on_the_best_residual(self):
+    def test_tolerance_below_the_floor_ends_on_the_best_residual(self, monkeypatch):
         # no step can fall below 1e-300 relative, so only the floor stop
         # (here the 4-ulp bracket) ends the run
-        trace = newton_solve_a(50, 0.2, stop_tol=1e-300)
+        monkeypatch.setattr(stability, "STEP_TOL", 1e-300)
+        trace = newton_solve_a(50, 0.2)
         assert trace.converged
         assert abs(trace.residuals[-1]) == min(abs(r) for r in trace.residuals)
 
