@@ -46,7 +46,6 @@ from .powerflow import (
 __all__ = [
     "AllocationError",
     "FairnessSpec",
-    "QueueState",
     "alpha_fair_distflow",
     "alpha_fair_lindist",
 ]
@@ -63,26 +62,6 @@ class FairnessSpec:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
-class QueueState:
-    """Vehicle counts per station, relabeled order (index 0 farthest)."""
-
-    x: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        for v in self.x:
-            if v < 0:
-                raise ValueError(f"queue lengths must be nonnegative, got {v!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.x)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
 class AllocationError(RuntimeError):
     """The Distflow solve failed to settle on the constraint; carries diagnostics."""
 
@@ -91,10 +70,13 @@ class AllocationError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def _as_counts(x: "QueueState | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(x, QueueState):
-        return x.x
-    return QueueState(x=tuple(x)).x
+def _as_counts(x: Sequence[int]) -> tuple[int, ...]:
+    """Vehicle counts per station, relabeled order (index 0 farthest)."""
+    raw = tuple(x)
+    counts = tuple(map(int, raw))
+    if counts != raw or min(counts, default=0) < 0:
+        raise ValueError(f"queue lengths must be nonnegative integers, got {raw!r}")
+    return counts
 
 
 def _lin_weights(cfg: NetworkConfig) -> list[float]:
@@ -103,7 +85,7 @@ def _lin_weights(cfg: NetworkConfig) -> list[float]:
 
 
 def alpha_fair_lindist(
-    x: "QueueState | Sequence[int]", spec: FairnessSpec, cfg: NetworkConfig
+    x: Sequence[int], spec: FairnessSpec, cfg: NetworkConfig
 ) -> PowerAllocation:
     """Closed-form alpha-fair optimum under the linearized constraint.
 
@@ -436,7 +418,7 @@ def _binding_solve(
 
 
 def alpha_fair_distflow(
-    x: "QueueState | Sequence[int]", spec: FairnessSpec, cfg: NetworkConfig
+    x: Sequence[int], spec: FairnessSpec, cfg: NetworkConfig
 ) -> PowerAllocation:
     """Alpha-fair optimum under the full Distflow constraint.
 

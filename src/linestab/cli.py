@@ -242,15 +242,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = NetworkConfig(n_stations=args.n, resistance=args.r, delta=args.delta)
     model = PowerModel(args.model)
     lam_base = lambda_lin(cfg) if model is PowerModel.LINDIST else lambda_dist(cfg)
-    horizon = args.horizon if args.horizon is not None else 1.0  # probe raises it
     base = SimConfig(
         network=cfg,
         fairness=FairnessSpec(alpha=args.alpha),
         model=model,
         arrival_rate=lam_base,
-        horizon=horizon,
+        horizon=1.0,  # the probe stretches it to fit --events
         seed=args.seed if args.seed is not None else 0,
-        sample_interval=horizon / 512.0,
+        sample_interval=1.0 / 512.0,
     )
     probe = stability_probe(
         base,
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--replications", type=int, default=5)
     p.add_argument("--events", type=int, default=20_000, help="expected events per run")
-    p.add_argument("--horizon", type=float, help="floor for the automatic horizon")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -14,6 +14,10 @@ or, on the voltage magnitudes themselves,
 
     V[j+1] = 2 V[j] - V[j-1] + r p[j] / V[j],  V[0] = 1, V[1] = 1 + r p[0].
 
+Every pass evaluates it literally, left to right, in plain doubles: the
+tables pin its digits, rounding noise included, so the digits are
+reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
+
 The linearized model drops the quadratic line-loss term and fixes the
 *root* at the nominal voltage instead; its squared-voltage profile is an
 explicit weighted sum of the loads.  A profile is feasible when the drop
@@ -33,13 +37,9 @@ __all__ = [
     "NetworkConfig",
     "PowerAllocation",
     "PowerModel",
-    "VoltageProfile",
-    "distflow_from_root",
     "distflow_gradient",
     "distflow_sensitivity",
-    "distflow_voltages",
     "feasible",
-    "lindist_weighted_load",
 ]
 
 
@@ -107,85 +107,10 @@ class PowerAllocation:
         return iter(self.p)
 
 
-@dataclass(frozen=True)
-class VoltageProfile:
-    """Voltages along the feeder, far end first.
-
-    v has N+1 entries (buses 0..N, bus N is the root side), w_diag the
-    squared voltages, and w_off the N products V[j] V[j+1] of neighbours.
-    """
-
-    v: tuple[float, ...]
-    w_diag: tuple[float, ...]
-    w_off: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.v) - 1
-
-    @property
-    def far_end(self) -> float:
-        return self.v[0]
-
-    @property
-    def root_end(self) -> float:
-        return self.v[-1]
-
-    @classmethod
-    def from_voltages(cls, v: Sequence[float]) -> "VoltageProfile":
-        v = tuple(v)
-        return cls(
-            v=v,
-            w_diag=tuple(x * x for x in v),
-            w_off=tuple(v[j] * v[j + 1] for j in range(len(v) - 1)),
-        )
-
-
 def _as_powers(p: "PowerAllocation | Sequence[float]") -> tuple[float, ...]:
     if isinstance(p, PowerAllocation):
         return p.p
     return PowerAllocation(p=tuple(p)).p
-
-
-def distflow_from_root(v0: float, p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
-    """Integrate the Distflow recursion outward from far-end voltage v0.
-
-    v0 is the *far-end* magnitude (bus 0); the zero-current boundary there
-    makes the first step V[1] = v0 + r p[0] / v0 and every later step
-
-        V[j+1] = 2 V[j] - V[j-1] + r p[j] / V[j].
-
-    The recursion is evaluated literally, left to right, in plain doubles.
-    Reordering it is not harmless: the downstream tables pin its digits,
-    rounding noise included, so the digits are reproduced, not exact.  At
-    N = 10^5 the literal V[N] is off by about 3e-9 relative (ROADMAP
-    item 4).
-    """
-    if not (math.isfinite(v0) and v0 > 0.0):
-        raise ValueError(f"far-end voltage must be positive, got {v0!r}")
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-    powers = _as_powers(p)
-    n = len(powers)
-    v = [0.0] * (n + 1)
-    v[0] = v0
-    if n >= 1:
-        v[1] = v0 + r * powers[0] / v0
-    for j in range(1, n):
-        v[j + 1] = 2.0 * v[j] - v[j - 1] + r * powers[j] / v[j]
-    return VoltageProfile.from_voltages(v)
-
-
-def distflow_voltages(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
-    """Distflow profile with the reference far-end voltage V[0] = 1."""
-    return distflow_from_root(1.0, p, r)
-
-
-def lindist_weighted_load(p: "PowerAllocation | Sequence[float]") -> float:
-    """Collapsed load moment sum_m (N - m) p[m] of the linearized drop."""
-    powers = _as_powers(p)
-    n = len(powers)
-    return math.fsum((n - m) * powers[m] for m in range(n))
 
 
 def feasible(
@@ -206,10 +131,13 @@ def feasible(
             f"allocation has {len(powers)} entries for {cfg.n_stations} stations"
         )
     if model is PowerModel.DISTFLOW:
-        prof = distflow_voltages(powers, cfg.resistance)
-        slack = cfg.w_limit - prof.root_end**2
+        v_n = _root_voltage_and_slope(powers, 1.0, cfg.resistance)[0]
+        slack = cfg.w_limit - v_n**2
     elif model is PowerModel.LINDIST:
-        w0 = cfg.w_limit - 2.0 * cfg.resistance * lindist_weighted_load(powers)
+        # collapsed load moment sum_m (N - m) p[m] of the linearized drop
+        n = len(powers)
+        moment = math.fsum((n - m) * powers[m] for m in range(n))
+        w0 = cfg.w_limit - 2.0 * cfg.resistance * moment
         slack = w0 - 1.0
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -226,7 +154,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"a must be nonnegative, got {a!r}")
+        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
     return _root_voltage_and_slope((1.0,) * n, a / (n * n), 1.0)
 
 

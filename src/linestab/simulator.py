@@ -29,6 +29,7 @@ from .allocator import AllocationError, FairnessSpec, _binding_solve
 from .powerflow import NetworkConfig, PowerModel
 
 __all__ = [
+    "QUEUE_CAP_PER_STATION",
     "Classification",
     "ProbeRow",
     "SimConfig",
@@ -282,11 +283,15 @@ def simulate(cfg: SimConfig) -> SimReport:
     )
 
 
+# a run whose queue peak reaches this many vehicles per station cannot
+# vote stable, whatever its drift
+QUEUE_CAP_PER_STATION = 50.0
+
+
 def stability_probe(
     base: SimConfig,
     multipliers: Sequence[float],
     replications: int = 5,
-    q_cap: "float | None" = None,
     min_events: int = 100_000,
 ) -> list[ProbeRow]:
     """Classify the feeder at several scalings of the base arrival rate.
@@ -296,12 +301,15 @@ def stability_probe(
     at least min_events events in expectation; each run is sampled on 512
     grid points regardless of base.sample_interval.  A run votes stable
     when its drift stays below eps = 0.05 * N * lambda (kept as
-    ProbeRow.eps_drift) *and* its queue peak stays below q_cap (default
-    50 N); it votes unstable when the drift exceeds eps.  A strict
-    majority either way decides; anything else is INCONCLUSIVE.
+    ProbeRow.eps_drift) *and* its queue peak stays below
+    QUEUE_CAP_PER_STATION * N (kept as ProbeRow.q_cap); it votes unstable
+    when the drift exceeds eps.  A strict majority either way decides;
+    anything else is INCONCLUSIVE.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if min_events < 1:
+        raise ValueError(f"min_events must be >= 1, got {min_events!r}")
     n = base.network.n_stations
     rows = []
     if base.arrival_rate <= 0.0:
@@ -311,7 +319,7 @@ def stability_probe(
             raise ValueError(f"multipliers must be positive, got {m!r}")
         lam = m * base.arrival_rate
         eps = 0.05 * n * lam
-        cap = 50.0 * n if q_cap is None else q_cap
+        cap = QUEUE_CAP_PER_STATION * n
         horizon = max(base.horizon, 1.05 * min_events / (n * lam))
         drifts: list[float] = []
         peaks: list[int] = []

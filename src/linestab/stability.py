@@ -191,7 +191,7 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     accepted residual exceeds 1e-6 of the drop cap.
     """
     if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        raise ValueError(f"the Distflow threshold needs an integer n >= 2, got {n!r}")
     _validate_delta(delta)
 
     target = 1.0 / (1.0 - delta)
@@ -281,8 +281,9 @@ def lambda_dist(cfg: NetworkConfig) -> float:
     """Exact per-station critical arrival rate, full Distflow model.
 
     a_bar / (r N^2) with a_bar from `newton_solve_a`, run to its fixed
-    STEP_TOL and ITERATION_CAP; requires N >= 2 (the N = 1 threshold is
-    the same under both models).
+    STEP_TOL and ITERATION_CAP.  Requires N >= 2, because the Newton start
+    is capped below 2N/(N - 1).  At N = 1, V_1 = 1 + a gives a_bar =
+    delta / (1 - delta), below the linearized delta (2 - delta) / (2 (1 - delta)^2).
     """
     trace = newton_solve_a(cfg.n_stations, cfg.delta)
     n = cfg.n_stations
@@ -296,7 +297,7 @@ def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> lis
     The gap shrinks like 1/N, roughly a factor ten per decade of N.
     """
     if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"a must be nonnegative, got {a!r}")
+        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
     v_cont = f0(math.sqrt(a))
     rows = []
     for n in n_values:

@@ -5,28 +5,26 @@ different style from the package internals (numpy vectorization, mpmath
 big-float arithmetic, generic grid search, the squared-voltage and summed
 forms of the recursion, a dual-multiplier search for the fair split) so
 that agreement between the two routes is meaningful evidence rather than
-a tautology.  The last section holds small helpers that only the tests
-call: the continuum profile, the inverse of f0 and the fairness utility.
+a tautology.  The literal profile (`distflow_from_root`,
+`distflow_voltages`) and the linearized load moment are the exception:
+they are the package's own arithmetic kept whole, where the package
+keeps only V[N] or inlines the sum, so the package must match them bit
+for bit.  The last section holds small helpers that only the tests call:
+the continuum profile, the inverse of f0 and the fairness utility.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath
 import numpy as np
 from scipy import integrate
 
-from linestab.allocator import (
-    AllocationError,
-    FairnessSpec,
-    QueueState,
-    _as_counts,
-    _lin_weights,
-)
+from linestab.allocator import AllocationError, FairnessSpec, _as_counts, _lin_weights
 from linestab.powerflow import (
     NetworkConfig,
     PowerAllocation,
-    VoltageProfile,
     _as_powers,
     _root_voltage_and_gradient,
 )
@@ -105,6 +103,79 @@ def distflow_gradient_forward(powers, r):
         g_next[i] += r / vi
         g_prev, g_cur = g_cur, g_next
     return tuple(g_cur)
+
+
+@dataclass(frozen=True)
+class VoltageProfile:
+    """Voltages along the feeder, far end first.
+
+    v has N+1 entries (buses 0..N, bus N is the root side), w_diag the
+    squared voltages, and w_off the N products V[j] V[j+1] of neighbours.
+    """
+
+    v: tuple[float, ...]
+    w_diag: tuple[float, ...]
+    w_off: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.v) - 1
+
+    @property
+    def far_end(self) -> float:
+        return self.v[0]
+
+    @property
+    def root_end(self) -> float:
+        return self.v[-1]
+
+    @classmethod
+    def from_voltages(cls, v: Sequence[float]) -> "VoltageProfile":
+        v = tuple(v)
+        return cls(
+            v=v,
+            w_diag=tuple(x * x for x in v),
+            w_off=tuple(v[j] * v[j + 1] for j in range(len(v) - 1)),
+        )
+
+
+def distflow_from_root(v0: float, p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
+    """Integrate the Distflow recursion outward from far-end voltage v0.
+
+    v0 is the *far-end* magnitude (bus 0); the zero-current boundary there
+    makes the first step V[1] = v0 + r p[0] / v0 and every later step
+
+        V[j+1] = 2 V[j] - V[j-1] + r p[j] / V[j].
+
+    The recursion is evaluated literally, left to right, in plain doubles,
+    so at v0 = 1 its V[N] is bit-identical to the package's passes, which
+    keep only V[N].
+    """
+    if not (math.isfinite(v0) and v0 > 0.0):
+        raise ValueError(f"far-end voltage must be positive, got {v0!r}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"resistance must be positive, got {r!r}")
+    powers = _as_powers(p)
+    n = len(powers)
+    v = [0.0] * (n + 1)
+    v[0] = v0
+    if n >= 1:
+        v[1] = v0 + r * powers[0] / v0
+    for j in range(1, n):
+        v[j + 1] = 2.0 * v[j] - v[j - 1] + r * powers[j] / v[j]
+    return VoltageProfile.from_voltages(v)
+
+
+def distflow_voltages(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
+    """Distflow profile with the reference far-end voltage V[0] = 1."""
+    return distflow_from_root(1.0, p, r)
+
+
+def lindist_weighted_load(p: "PowerAllocation | Sequence[float]") -> float:
+    """Collapsed load moment sum_m (N - m) p[m] of the linearized drop."""
+    powers = _as_powers(p)
+    n = len(powers)
+    return math.fsum((n - m) * powers[m] for m in range(n))
 
 
 def distflow_w_recursion(p: "PowerAllocation | Sequence[float]", r: float) -> VoltageProfile:
@@ -402,7 +473,7 @@ def _stationarity_sweep(
 
 
 def _dual_solve(
-    x: "QueueState | Sequence[int]",
+    x: Sequence[int],
     spec: FairnessSpec,
     cfg: NetworkConfig,
     tol: float = 1e-9,
@@ -557,7 +628,7 @@ def f0_inverse(y: float) -> float:
 
 
 def fairness_utility(
-    rates: "PowerAllocation | Sequence[float]", x: "QueueState | Sequence[int]", alpha: float
+    rates: "PowerAllocation | Sequence[float]", x: Sequence[int], alpha: float
 ) -> float:
     """Aggregate utility sum_j x_j U_alpha(p_j / x_j); empty stations are skipped."""
     counts = _as_counts(x)

@@ -18,10 +18,8 @@ from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lin
 from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
-    distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
-    distflow_voltages,
     feasible,
 )
 from linestab.simulator import Classification, SimConfig, simulate, stability_probe
@@ -35,7 +33,9 @@ from linestab.stability import (
 )
 from oracles import (
     distflow_double_sum,
+    distflow_from_root,
     distflow_sensitivity_profile,
+    distflow_voltages,
     distflow_w_recursion,
     grid_search_allocation,
 )

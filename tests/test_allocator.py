@@ -10,7 +10,6 @@ from linestab import allocator
 from linestab.allocator import (
     AllocationError,
     FairnessSpec,
-    QueueState,
     alpha_fair_distflow,
     alpha_fair_lindist,
     _binding_solve,
@@ -19,11 +18,9 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
     distflow_gradient,
-    distflow_voltages,
     feasible,
-    lindist_weighted_load,
 )
-from oracles import _dual_solve, fairness_utility, grid_search_allocation
+from oracles import _dual_solve, distflow_voltages, fairness_utility, grid_search_allocation
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -66,15 +63,13 @@ class TestFairnessSpec:
             FairnessSpec(alpha=alpha)
 
 
-class TestQueueState:
-    def test_total_and_len(self):
-        state = QueueState(x=(2, 0, 3))
-        assert state.total == 5
-        assert len(state) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            QueueState(x=(1, -1))
+class TestQueueInput:
+    def test_rejects_negative_or_fractional(self):
+        cfg = NetworkConfig(2, 1.0, 0.1)
+        for allocate in (alpha_fair_lindist, alpha_fair_distflow):
+            for bad in ((1, -1), (1, 1.5)):
+                with pytest.raises(ValueError, match="nonnegative integers"):
+                    allocate(bad, FairnessSpec(1.0), cfg)
 
 
 class TestLindistAllocator:

@@ -18,7 +18,7 @@ import linestab.cli as cli
 from linestab import __version__
 from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
 from linestab.cli import RunManifest, build_parser, main, manifest_to_argv
-from linestab.powerflow import NetworkConfig, distflow_voltages
+from linestab.powerflow import NetworkConfig
 from linestab.simulator import SimulationError
 from linestab.stability import (
     lambda_dist,
@@ -27,6 +27,7 @@ from linestab.stability import (
     lambda_lin_critical,
     ratio_P,
 )
+from oracles import distflow_voltages
 
 
 def _run(capsys, *argv: str) -> list[list[str]]:
@@ -76,8 +77,11 @@ class TestThresholds:
         assert "(0, 0.5]" in err
 
     def test_distflow_needs_two_stations(self, capsys):
-        _exits_2(capsys, "thresholds", "--n", "1", "--delta", "0.2",
-                 "--model", "distflow")
+        # only the Distflow row needs N >= 2, and the message says so,
+        # also when the Lindist row comes first
+        for model in (["--model", "distflow"], []):
+            err = _exits_2(capsys, "thresholds", "--n", "1", "--delta", "0.2", *model)
+            assert "Distflow threshold needs an integer n >= 2" in err
 
     def test_half_delta_long_feeder_lands_on_the_drop_cap(self, capsys):
         # at delta = 1/2 the N = 400 root lies past 2N/(N-1), where the
@@ -112,6 +116,8 @@ class TestNewtonCmd:
         _exits_2(capsys, "newton", "--a", "2.5", "--n", "10")
         _exits_2(capsys, "newton", "--a", "-0.3", "--n", "10")
         _exits_2(capsys, "newton", "--a", "0.01", "--n", "1")
+        err = _exits_2(capsys, "newton", "--a", "inf", "--n", "2")
+        assert "a must be finite and nonnegative, got inf" in err
 
     def test_load_past_two_is_recovered_on_a_long_feeder(self, capsys):
         # the N = 400 limit is a = 2.2949, so a = 2.2 has a cap below 2
@@ -175,6 +181,8 @@ class TestConvergeCmd:
     def test_rejects_negative_load_and_tiny_feeder(self, capsys):
         _exits_2(capsys, "converge", "--a", "-1", "--n", "10")
         _exits_2(capsys, "converge", "--a", "0.05", "--n", "1")
+        err = _exits_2(capsys, "converge", "--a", "inf", "--n", "10")
+        assert "a must be finite and nonnegative, got inf" in err
 
 
 class TestAllocateCmd:
@@ -227,6 +235,15 @@ class TestSimulateCmd:
         _exits_2(capsys, "simulate", "--n", "1", "--delta", "0.2",
                  "--model", "distflow")
 
+    def test_rejects_nonpositive_events(self, capsys):
+        for events in ("-5", "0"):
+            err = _exits_2(capsys, "simulate", "--n", "2", "--delta", "0.2",
+                           "--events", events, "--replications", "1")
+            assert "min_events must be >= 1" in err
+
+    def test_horizon_is_not_a_flag(self, capsys):
+        _exits_2(capsys, "simulate", "--n", "2", "--delta", "0.2", "--horizon", "1")
+
     def test_abort_maps_to_exit_4(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SimulationError("allocator died mid-run")
@@ -262,8 +279,7 @@ class TestManifest:
             ["converge", "--a", "0.05", "--n", "10,100"],
             ["allocate", "--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"],
             ["simulate", "--n", "2", "--delta", "0.2", "--mult", "0.8",
-             "--replications", "1", "--events", "500", "--horizon", "0.5",
-             "--seed", "3"],
+             "--replications", "1", "--events", "500", "--seed", "3"],
         ],
         ids=["thresholds", "newton", "ratio-list", "ratio-grid", "converge",
              "allocate", "simulate"],
@@ -292,17 +308,6 @@ class TestManifest:
         assert manifest.seed is None
         assert manifest.output_path == str(out1)
         assert set(manifest.parameters) == {"n", "r", "delta", "model"}
-        out2 = tmp_path / "replay.csv"
-        assert main(manifest_to_argv(manifest, out=str(out2))) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_newton_replay_preserves_float_grids(self, tmp_path, capsys):
-        out1 = tmp_path / "newton.csv"
-        assert main(["newton", "--a", "0.01,0.1", "--n", "10,100",
-                     "--out", str(out1)]) == 0
-        manifest = RunManifest.from_json(
-            (tmp_path / "newton.csv.manifest.json").read_text()
-        )
         out2 = tmp_path / "replay.csv"
         assert main(manifest_to_argv(manifest, out=str(out2))) == 0
         assert out1.read_bytes() == out2.read_bytes()

@@ -12,22 +12,22 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerAllocation,
     PowerModel,
-    VoltageProfile,
     _root_voltage_and_gradient,
     _root_voltage_and_slope,
-    distflow_from_root,
     distflow_gradient,
     distflow_sensitivity,
-    distflow_voltages,
     feasible,
-    lindist_weighted_load,
 )
 from oracles import (
+    VoltageProfile,
     distflow_double_sum,
+    distflow_from_root,
     distflow_gradient_forward,
     distflow_sensitivity_profile,
+    distflow_voltages,
     distflow_w_recursion,
     lindist_squared_voltages,
+    lindist_weighted_load,
     voltage_profile_mp,
 )
 
@@ -108,6 +108,8 @@ class TestDistflowRoutes:
             want = voltage_profile_mp(p, r)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-13)
+            # the package keeps only V[N] of the same literal recursion
+            assert _root_voltage_and_gradient(p, r)[0] == got[-1]
 
     def test_three_routes_agree(self, rng):
         for _ in range(40):
@@ -118,10 +120,22 @@ class TestDistflowRoutes:
             for x, y, z in zip(a.v, b.v, c.v):
                 assert x == pytest.approx(y, rel=5e-13)
                 assert x == pytest.approx(z, rel=5e-13)
+            v_n = _root_voltage_and_slope(p, 1.0, r)[0]
+            assert v_n == pytest.approx(b.root_end, rel=5e-13)
+            assert v_n == pytest.approx(c.root_end, rel=5e-13)
             # the off-diagonal track of the squared form is the product of
             # neighbouring magnitudes
             for w_off, (u, v) in zip(c.w_off, zip(c.v, c.v[1:])):
                 assert w_off == pytest.approx(u * v, rel=1e-12)
+
+    def test_feasible_slack_is_literal_profile_exactly(self, rng):
+        # feasible keeps V[N] of the tangent pass; it must be the literal
+        # recursion's V[N] bit for bit, not merely close to it
+        for _ in range(200):
+            p, r = _random_case(rng, n_max=60)
+            cfg = NetworkConfig(len(p), r, rng.uniform(0.01, 0.5))
+            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            assert slack == cfg.w_limit - distflow_voltages(p, r).root_end ** 2
 
     def test_zero_load_profile_is_flat(self):
         prof = distflow_voltages([0.0] * 6, 1.7)

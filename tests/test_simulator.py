@@ -348,12 +348,11 @@ class TestStabilityProbe:
         )
         assert rows[0].reports[1] == want
 
-    def test_queue_cap_of_zero_forces_inconclusive(self):
+    def test_queue_cap_of_zero_forces_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(simulator, "QUEUE_CAP_PER_STATION", 0.0)
         base = _cfg(arrival_rate=0.5 * P_STAR, horizon=64.0, sample_interval=1.0,
                     seed=13)
-        rows = stability_probe(
-            base, (1.0,), replications=3, min_events=2000, q_cap=0.0
-        )
+        rows = stability_probe(base, (1.0,), replications=3, min_events=2000)
         assert rows[0].classification is Classification.INCONCLUSIVE
         assert rows[0].stable_votes == 0
         assert rows[0].unstable_votes == 0
@@ -379,6 +378,9 @@ class TestStabilityProbe:
                 stability_probe(base, (bad,), replications=1, min_events=100)
         with pytest.raises(ValueError):
             stability_probe(_cfg(arrival_rate=0.0), (0.5,))
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="min_events must be >= 1"):
+                stability_probe(base, (0.5,), replications=1, min_events=bad)
 
 
 class TestMonotoneLoadResponse:
