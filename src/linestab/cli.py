@@ -140,16 +140,22 @@ def _write_output(
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty float list {text!r}")
+    return values
 
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------- commands

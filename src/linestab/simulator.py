@@ -310,13 +310,15 @@ def stability_probe(
         raise ValueError("replications must be >= 1")
     if min_events < 1:
         raise ValueError(f"min_events must be >= 1, got {min_events!r}")
-    n = base.network.n_stations
-    rows = []
     if base.arrival_rate <= 0.0:
         raise ValueError("stability_probe needs a positive base arrival rate")
+    multipliers = tuple(multipliers)
     for m in multipliers:
         if not (math.isfinite(m) and m > 0.0):
             raise ValueError(f"multipliers must be positive, got {m!r}")
+    n = base.network.n_stations
+    rows = []
+    for m in multipliers:
         lam = m * base.arrival_rate
         eps = 0.05 * n * lam
         cap = QUEUE_CAP_PER_STATION * n

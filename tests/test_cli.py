@@ -212,6 +212,21 @@ class TestAllocateCmd:
         _exits_2(capsys, "allocate", "--x", "-1,2", "--delta", "0.2")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["newton", "--a", "0.1", "--n", ","],
+        ["newton", "--a", ",", "--n", "10"],
+        ["converge", "--a", "0.1", "--n", ","],
+        ["ratio", "--delta", ","],
+        ["simulate", "--n", "2", "--delta", "0.2", "--mult", ","],
+    ],
+    ids=["newton-n", "newton-a", "converge-n", "ratio-delta", "simulate-mult"],
+)
+def test_empty_list_flag_exits_2(capsys, argv):
+    assert "empty" in _exits_2(capsys, *argv)
+
+
 class TestSimulateCmd:
     def test_frontier_classifications(self, capsys):
         rows = _run(

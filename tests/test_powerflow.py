@@ -426,11 +426,14 @@ class TestSensitivity:
         dn, _ = distflow_sensitivity(a - h, n)
         assert y_n == pytest.approx(n * n * (up - dn) / (2.0 * h), rel=1e-6)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 40, 1000, 100000])
-    @pytest.mark.parametrize("a", [0.01, 0.3, 1.2, 1.9])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 1000, 100000])
+    @pytest.mark.parametrize("a", [0.0, 0.01, 0.3, 1.2, 1.9, 1e3])
     def test_matches_oracle_profile_exactly(self, n, a):
+        # the uniform-load loop is the general tangent pass on d = 1, r = 1
         v, y = distflow_sensitivity_profile(a, n)
-        assert distflow_sensitivity(a, n) == (v[n], y[n])
+        got = distflow_sensitivity(a, n)
+        assert got == (v[n], y[n])
+        assert got == _root_voltage_and_slope((1.0,) * n, a / (n * n), 1.0)
 
     @pytest.mark.parametrize("a,n", [(4.0, 2), (3.0, 3)])
     def test_past_2n_over_n_minus_1_matches_oracle_profile(self, a, n):

@@ -369,13 +369,18 @@ class TestStabilityProbe:
             Classification.UNSTABLE,
         ]
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("simulate ran before every argument was checked")
+
+        monkeypatch.setattr(simulator, "simulate", no_run)
         base = _cfg(arrival_rate=0.5 * P_STAR)
         with pytest.raises(ValueError):
             stability_probe(base, (0.5,), replications=0)
         for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                stability_probe(base, (bad,), replications=1, min_events=100)
+            for mults in ((bad,), (0.5, bad)):
+                with pytest.raises(ValueError, match="multipliers must be positive"):
+                    stability_probe(base, mults, replications=1, min_events=100)
         with pytest.raises(ValueError):
             stability_probe(_cfg(arrival_rate=0.0), (0.5,))
         for bad in (0, -5):
