@@ -17,17 +17,22 @@ solver alternates the two.  A direction refresh takes one O(N) adjoint
 gradient; the scale solve needs only the slope along the direction, one
 forward tangent pass per Newton step.  Empty stations always get zero power.
 
-Given a warm start (the simulator passes the previous state's powers) the
-solve first tries a local phase.  The KKT conditions are a two-point
-recursion: voltages run out from the far end, and the costate b_k =
-dV_N/dV_k obeys the adjoint recursion, which runs forward just as well.
-Fixing b_1 = 1, the unknowns (b_2, log c), c the scaled multiplier, are
-pinned by V_N = v_limit and b_{N+1} = 0, so Newton's method shoots on two
-unknowns for any N, each step one O(N) sweep that carries two tangent
-directions (Stoer & Bulirsch, Introduction to Numerical Analysis, 7.3).
-Shooting from a far-off start is not robust, so the phase hands over to
-the alternating iteration, started from the same hint, whenever a costate
-turns nonpositive, a value leaves the floats or the residual stops falling.
+Given a warm start (the simulator passes the previous solve's return:
+its powers, with the V_N and adjoint gradient taken on them) the solve
+first tries a local phase.  The KKT conditions are a two-point recursion:
+voltages run out from the far end, and the costate b_k = dV_N/dV_k obeys
+the adjoint recursion, which runs forward just as well.  Fixing b_1 = 1,
+the unknowns (b_2, log c), c the scaled multiplier, are pinned by V_N =
+v_limit and b_{N+1} = 0, so Newton's method shoots on two unknowns for any
+N, each step one O(N) sweep that carries two tangent directions (Stoer &
+Bulirsch, Introduction to Numerical Analysis, 7.3).  Once the residual is
+small, the next sweep first runs without its tangents, which only a
+further step would use.  A warm solve then takes one adjoint gradient, on
+the powers it returns, about 2.3 two-tangent sweeps and one value-only
+sweep; the gradient it returns starts the next solve.  Shooting from a
+far-off start is not robust, so the phase hands over to the alternating
+iteration, started from the same hint, whenever a costate turns
+nonpositive, a value leaves the floats or the residual stops falling.
 """
 
 from __future__ import annotations
@@ -113,9 +118,16 @@ def alpha_fair_lindist(
     return PowerAllocation(p=tuple(p))
 
 
+# a binding solve's powers, with the V_N and adjoint gradient taken on them
+_Solution = tuple[tuple[float, ...], float, list[float]]
+
 _MAX_OUTER = 120  # direction refreshes before the binding solve gives up
 _MAX_SHOTS = 20  # Newton steps before the shooting phase gives up
 _SHOT_STALL = 3  # steps without a residual decrease before it gives up
+# residuals (|V_N - v_limit| / v_limit, |costate ratio| / its tolerance)
+# below which the next sweep is tried without its tangents first
+_NEAR_F1 = 3e-6
+_NEAR_F2 = 3e6
 
 
 def _shoot(
@@ -188,6 +200,41 @@ def _shoot(
     )
 
 
+def _shoot_values(
+    counts: tuple[int, ...], inv_alpha: float, r: float, beta: float, ell: float
+) -> "tuple[list[float], float, float] | None":
+    """`_shoot` without its tangents: the powers, V_N and costate ratio.
+
+    The tangents never feed the values, so these are `_shoot`'s own, bit
+    for bit, and it returns None (or raises) exactly where `_shoot` does.
+    """
+    c = math.exp(ell)
+    expo = -inv_alpha
+    n = len(counts)
+    p = [0.0] * n
+    pj = counts[0] * c**expo if counts[0] else 0.0
+    p[0] = pj
+    v_prev, v = 1.0, 1.0 + r * pj
+    b_prev, b = 1.0, beta
+    for j in range(1, n):
+        x = counts[j]
+        iv = 1.0 / v
+        if x:
+            u = c * b * iv
+            if not u > 0.0:
+                return None
+            pj = x * u**expo
+        else:
+            pj = 0.0
+        p[j] = pj
+        a = 2.0 - (r * iv) * (pj * iv)
+        v_prev, v = v, 2.0 * v - v_prev + r * pj / v
+        b_prev, b = b, a * b - b_prev
+    if not b_prev > 0.0:
+        return None
+    return p, v, b / b_prev
+
+
 def _shooting_phase(
     counts: tuple[int, ...],
     active: list[int],
@@ -196,17 +243,25 @@ def _shooting_phase(
     v_limit: float,
     w_limit: float,
     p_hint: list[float],
-) -> "tuple[float, ...] | None":
+    hint: _Solution,
+) -> "_Solution | None":
     """Warm local phase of the binding solve: Newton on (b_2, log c).
 
-    One adjoint gradient g at the hint gives its costate, b_{j+1} / b_1 =
+    The adjoint gradient g at the hint gives its costate, b_{j+1} / b_1 =
     g_j V_j / g_0, hence the start b_2 = g_1 V_1 / g_0; log c starts where
     the powers along that costate put the hint's linearized V_N on
-    v_limit.  Each Newton step is one `_shoot` sweep.  Returns the powers
+    v_limit.  ``hint`` is the previous `_binding_solve` return, whose
+    closing gradient was taken on exactly these powers unless a station
+    has emptied since; only then is g recomputed.  Each Newton step is one
+    `_shoot` sweep.  Once |V_N - v_limit| < _NEAR_F1 v_limit and the
+    costate ratio is below _NEAR_F2 times its tolerance, the next step
+    first runs `_shoot_values` at the new unknowns and stops there if that
+    sweep converges; otherwise `_shoot` redoes it with tangents, so the
+    iterates are those of plain Newton.  Returns (powers, V_N, gradient)
     once |V_N - v_limit| < 1e-12 v_limit and the costate ratio is at its
     rounding floor, provided they pass the binding solve's final checks
-    (one more adjoint gradient); None, to fall back to the outer
-    iteration, on N = 1, costate sign loss, a non-finite value, no
+    (one adjoint gradient, the one returned); None, to fall back to the
+    outer iteration, on N = 1, costate sign loss, a non-finite value, no
     residual decrease within _SHOT_STALL steps, or _MAX_SHOTS steps.
     Where pow or exp would leave the floats it raises OverflowError or
     ZeroDivisionError instead, which the binding solve also takes as a
@@ -214,7 +269,10 @@ def _shooting_phase(
     """
     if len(counts) < 2:
         return None
-    v_n, grad = _root_voltage_and_gradient(p_hint, r)
+    if tuple(p_hint) == hint[0]:
+        v_n, grad = hint[1], hint[2]
+    else:
+        v_n, grad = _root_voltage_and_gradient(p_hint, r)
     g0 = grad[0]
     if not (math.isfinite(v_n) and g0 > 0.0):
         return None
@@ -237,7 +295,17 @@ def _shooting_phase(
     f2_tol = 4e-15 * max(len(counts) ** 2, 100)
     best = math.inf
     stall = 0
+    near = False
     for _ in range(_MAX_SHOTS):
+        if near:
+            # a sweep that converges needs no Jacobian: try the values
+            # alone, then redo them with tangents at the same unknowns
+            values = _shoot_values(counts, inv_alpha, r, beta, ell)
+            if values is None:
+                return None
+            p, v_n, f2 = values
+            if abs(v_n - v_limit) < 1e-12 * v_limit and abs(f2) < f2_tol:
+                break
         shot = _shoot(counts, inv_alpha, r, beta, ell)
         if shot is None:
             return None
@@ -247,6 +315,7 @@ def _shooting_phase(
             return None
         if abs(f1) < 1e-12 * v_limit and abs(f2) < f2_tol:
             break
+        near = abs(f1) < _NEAR_F1 * v_limit and abs(f2) < _NEAR_F2 * f2_tol
         res = abs(f1) + abs(f2)
         if res < best:
             best, stall = res, 0
@@ -264,15 +333,15 @@ def _shooting_phase(
     v_n, grad = _root_voltage_and_gradient(p, r)
     if any(grad[j] <= 0.0 for j in active) or abs(w_limit - v_n * v_n) > 1e-9:
         return None
-    return tuple(p)
+    return tuple(p), v_n, grad
 
 
 def _binding_solve(
     counts: tuple[int, ...],
     spec: FairnessSpec,
     cfg: NetworkConfig,
-    p_hint: "Sequence[float] | None" = None,
-) -> tuple[float, ...]:
+    hint: "_Solution | None" = None,
+) -> _Solution:
     """Scale-and-direction form of the Distflow optimum.
 
     Stationarity makes p_j = s x_j ghat_j^(-1/alpha) with ghat the gradient
@@ -284,31 +353,38 @@ def _binding_solve(
     simulation, this outer iteration takes about 7 gradients and 11
     tangent passes.
 
-    ``p_hint`` warm-starts the solve (the simulator passes the previous
-    solved state's powers, typically one vehicle away).  A usable hint,
-    one that powers every occupied station, first runs `_shooting_phase`:
-    one adjoint gradient at the hint, about three two-tangent sweeps (each
-    costs about 2.5 adjoint gradients) and one adjoint gradient to check
-    the result.  Should that phase give up, the outer iteration starts from
-    the hint.  Without a usable hint the linearized closed form seeds the
-    outer iteration.  Returns powers with |slack| <= 1e-9 in squared-voltage
-    units, or raises AllocationError.
+    ``hint`` warm-starts the solve: the simulator passes the previous
+    solve's return, typically one vehicle away.  A usable hint, one that
+    powers every occupied station, first runs `_shooting_phase`, which
+    starts from the hint's gradient (recomputed only if a station has
+    emptied), takes about 2.3 two-tangent sweeps (each costs about 2.5
+    adjoint gradients) and one value-only sweep, and one adjoint gradient
+    to check the result.  Should that phase give up, the outer iteration
+    starts from the hint's powers.  Without a usable hint the linearized
+    closed form seeds the outer iteration.  Returns (powers, V_N,
+    gradient), the last two from the adjoint pass on the powers, which
+    have |slack| <= 1e-9 in squared-voltage units; or raises
+    AllocationError.
     """
     n = cfg.n_stations
     active = [j for j in range(n) if counts[j] > 0]
     if not active:
-        return (0.0,) * n
+        zeros = (0.0,) * n
+        return (zeros, *_root_voltage_and_gradient(zeros, cfg.resistance))
     inv_alpha = 1.0 / spec.alpha
     r = cfg.resistance
     v_limit = cfg.v_limit
     w_limit = cfg.w_limit
 
+    p_hint = None if hint is None else hint[0]
     if p_hint is not None and len(p_hint) == n and all(
         p_hint[j] > 0.0 for j in active
     ):
         p = [float(p_hint[j]) if counts[j] > 0 else 0.0 for j in range(n)]
         try:
-            shot = _shooting_phase(counts, active, inv_alpha, r, v_limit, w_limit, p)
+            shot = _shooting_phase(
+                counts, active, inv_alpha, r, v_limit, w_limit, p, hint
+            )
         except (OverflowError, ZeroDivisionError):
             shot = None  # pow or exp left the floats: fall back as well
         if shot is not None:
@@ -341,9 +417,10 @@ def _binding_solve(
         two_vn = 2.0 * v_n
         for j in active:
             d[j] = counts[j] * (two_vn * grad[j]) ** (-inv_alpha)
-        # scalar problem: V_N(s d) = v_limit, increasing and convex in s.
-        # Newton with the slope taken at the trial point itself; a slope
-        # frozen at p is arbitrarily wrong decades away and stalls.
+        # scalar problem: V_N(s d) = v_limit, increasing and concave in s,
+        # so a Newton step from below never lands past the root.  The slope
+        # is taken at the trial point itself; a slope frozen at p is
+        # arbitrarily wrong decades away and stalls.
         s = math.fsum(p[j] for j in active) / math.fsum(d[j] for j in active)
         s_lo, s_hi = 0.0, math.inf
         for _ in range(80):
@@ -393,7 +470,7 @@ def _binding_solve(
                 )
             slack = w_limit - v_n * v_n
             if abs(slack) <= 1e-9:
-                return tuple(p)
+                return tuple(p), v_n, grad
             raise AllocationError(
                 "direction iteration settled off the constraint",
                 {"state": counts, "slack": slack},
@@ -428,4 +505,4 @@ def alpha_fair_distflow(
     counts = _as_counts(x)
     if len(counts) != cfg.n_stations:
         raise ValueError(f"state has {len(counts)} entries for {cfg.n_stations} stations")
-    return PowerAllocation(p=_binding_solve(counts, spec, cfg))
+    return PowerAllocation(p=_binding_solve(counts, spec, cfg)[0])

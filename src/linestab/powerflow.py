@@ -152,7 +152,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     s = a / n^2 and r = 1 with its exact factors of 1.0 dropped, so it
     gives the same bits.  It is kept apart because Newton runs it 4 to 12
     times per threshold at n up to 10^5, where the general pass, with its
-    indexing and three multiplies by r per step, costs about 1.3x as much.
+    multiplies by s, r and d per step, costs about 1.2x as much.
     Defined for every a >= 0: V stays finite and increasing, and Y[n] > 0.
     """
     if not isinstance(n, int) or n < 1:
@@ -172,7 +172,8 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
     """Unvalidated fused pass: V[N] and its gradient as a plain list.
 
     Shared by `distflow_gradient` and the allocator's binding solve, which
-    calls it once per direction refresh and once on the point it returns.
+    calls it once per direction refresh and once on the point it returns;
+    a warm solve starts from the one its predecessor returned.
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.
@@ -209,12 +210,11 @@ def _root_voltage_and_slope(d: Sequence[float], s: float, r: float) -> tuple[flo
     """
     v_prev, v = 1.0, 1.0 + r * (s * d[0])
     t_prev, t = 0.0, r * d[0]
-    for j in range(1, len(d)):
-        dj = d[j]
-        q = s * dj
+    for dj in d[1:]:
+        rq = r * (s * dj)
         vj = v
-        v, v_prev = 2.0 * vj - v_prev + r * q / vj, vj
-        t, t_prev = 2.0 * t - t_prev + r * dj / vj - r * q * t / (vj * vj), t
+        v, v_prev = 2.0 * vj - v_prev + rq / vj, vj
+        t, t_prev = 2.0 * t - t_prev + r * dj / vj - rq * t / (vj * vj), t
     return v, t
 
 

@@ -144,11 +144,12 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     Distflow allocations go through the binding solve; solved states are
     cached under their gcd-normalized occupancy (the optimum only depends
     on the ray through x), and cache misses warm-start from the last
-    solved state's powers, typically one vehicle away.  With that hint the
-    solve shoots on two unknowns, about three O(N) sweeps, and falls back
-    to its outer iteration from the same hint when shooting gives up (a
-    newly occupied station, which the hint leaves unpowered, skips the
-    shooting).
+    solve's return, typically one vehicle away: its powers, and the V_N
+    and adjoint gradient it took on them.  With that hint the solve shoots
+    on two unknowns, one adjoint gradient and about 3.3 O(N) sweeps, and
+    falls back to its outer iteration from the same powers when shooting
+    gives up (a newly occupied station, which the hint leaves unpowered,
+    skips the shooting).
     """
     net = cfg.network
     n = net.n_stations
@@ -175,18 +176,19 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
         return solve_lin
 
     cache: dict[tuple[int, ...], tuple[list[float], float]] = {}
-    hint_p: "list[float] | None" = None
+    hint = None  # the last _binding_solve return: powers, V_N, gradient
 
     def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
-        nonlocal hint_p
+        nonlocal hint
         key = _normalize(x)
         hit = cache.get(key)
         if hit is not None:
             return hit
         if not any(key):
             return zeros
-        hint_p = list(_binding_solve(key, cfg.fairness, net, p_hint=hint_p))
-        entry = (hint_p, math.fsum(hint_p))
+        hint = _binding_solve(key, cfg.fairness, net, hint)
+        p = list(hint[0])
+        entry = (p, math.fsum(p))
         if len(cache) < 200_000:  # states mostly repeat near the origin
             cache[key] = entry
         return entry

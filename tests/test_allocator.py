@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
 from linestab import allocator
@@ -17,6 +18,7 @@ from linestab.allocator import (
 from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
+    _root_voltage_and_gradient,
     distflow_gradient,
     feasible,
 )
@@ -246,7 +248,7 @@ class TestDistflowAllocator:
         cfg = NetworkConfig(5, 1.0, 0.2)
         spec = FairnessSpec(1.0)
         cold = _binding_solve((3, 1, 0, 2, 4), spec, cfg)
-        warm = _binding_solve((3, 1, 0, 2, 5), spec, cfg, p_hint=cold)
+        warm, _, _ = _binding_solve((3, 1, 0, 2, 5), spec, cfg, cold)
         fresh = alpha_fair_distflow([3, 1, 0, 2, 5], spec, cfg).p
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
@@ -254,7 +256,7 @@ class TestDistflowAllocator:
     def test_overflowing_hint_raises_allocation_error(self):
         cfg = NetworkConfig(3, 1.0, 0.1)
         with pytest.raises(AllocationError):
-            _binding_solve((1, 2, 3), FairnessSpec(1.0), cfg, p_hint=[math.inf] * 3)
+            _binding_solve((1, 2, 3), FairnessSpec(1.0), cfg, _hint([math.inf] * 3, cfg))
 
     def test_validation(self):
         cfg = NetworkConfig(2, 1.0, 0.1)
@@ -262,6 +264,24 @@ class TestDistflowAllocator:
             alpha_fair_distflow([1], FairnessSpec(1.0), cfg)
         with pytest.raises(ValueError):
             alpha_fair_distflow([1, -1], FairnessSpec(1.0), cfg)
+
+
+def _hint(p, cfg):
+    """A binding-solve hint made from bare powers, as the solve returns it."""
+    return (tuple(p), *_root_voltage_and_gradient(p, cfg.resistance))
+
+
+def _count_gradients(monkeypatch) -> list:
+    """Record the powers of every adjoint gradient the allocator takes."""
+    calls = []
+    gradient = allocator._root_voltage_and_gradient
+
+    def spy(p, r):
+        calls.append(tuple(p))
+        return gradient(p, r)
+
+    monkeypatch.setattr(allocator, "_root_voltage_and_gradient", spy)
+    return calls
 
 
 def _spy_shooting(monkeypatch) -> list:
@@ -297,12 +317,21 @@ class TestWarmChain:
         spec = FairnessSpec(alpha)
         total = 10.0 ** rng.uniform(2.0, 3.5)
         x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
-        p = _binding_solve(tuple(x), spec, cfg)
+        solved = _binding_solve(tuple(x), spec, cfg)
         shots = _spy_shooting(monkeypatch)
+        gradients = _count_gradients(monkeypatch)
         for _ in range(40):
             j = rng.randrange(n)
             x[j] += -1 if x[j] > 0 and rng.random() < 0.5 else 1
-            p = _binding_solve(tuple(x), spec, cfg, p_hint=p)
+            before = (len(shots), len(gradients))
+            solved = _binding_solve(tuple(x), spec, cfg, solved)
+            p = solved[0]
+            # the returned V_N and gradient are the adjoint pass on p itself
+            assert solved[1:] == _root_voltage_and_gradient(list(p), cfg.resistance)
+            if x[j] > 0 and len(shots) > before[0] and shots[-1] is not None:
+                # no station emptied: the hint's gradient starts the shot,
+                # and only the closing one is taken
+                assert len(gradients) == before[1] + 1
             _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
             assert abs(slack) <= 1e-9
             want, _ = _dual_solve(x, spec, cfg)
@@ -325,8 +354,9 @@ class TestWarmChain:
         spec = FairnessSpec(1.0)
         hint = _binding_solve(hint_from, spec, cfg)
         shots = _spy_shooting(monkeypatch)
-        warm = _binding_solve(x, spec, cfg, p_hint=hint)
+        warm, v_n, grad = _binding_solve(x, spec, cfg, hint)
         assert shots == [None]
+        assert (v_n, grad) == _root_voltage_and_gradient(list(warm), cfg.resistance)
         want, _ = _dual_solve(x, spec, cfg)
         for a, b in zip(warm, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
@@ -338,8 +368,54 @@ class TestWarmChain:
         cfg = NetworkConfig(3, 1.0, 0.1)
         shots = _spy_shooting(monkeypatch)
         with pytest.raises(AllocationError):
-            _binding_solve((1, 1, 1), FairnessSpec(0.3), cfg, p_hint=[1e150, 1e-10, 1e-10])
+            _binding_solve((1, 1, 1), FairnessSpec(0.3), cfg, _hint([1e150, 1e-10, 1e-10], cfg))
         assert shots == [OverflowError]
+
+
+    def test_newly_emptied_station_recomputes_the_start(self, monkeypatch):
+        # the hint's gradient was taken with the emptied station's power in
+        # it, so the shot must start from a gradient on the powers it keeps
+        cfg = NetworkConfig(6, 1.3, 0.2)
+        spec = FairnessSpec(1.0)
+        hint = _binding_solve((40, 1, 25, 60, 10, 30), spec, cfg)
+        kept = list(hint[0])
+        kept[1] = 0.0
+        shots = _spy_shooting(monkeypatch)
+        gradients = _count_gradients(monkeypatch)
+        x = (40, 0, 25, 60, 10, 30)
+        carried = _binding_solve(x, spec, cfg, hint)
+        assert gradients[0] == tuple(kept)
+        fresh = _binding_solve(x, spec, cfg, _hint(kept, cfg))
+        assert None not in shots
+        assert repr(carried) == repr(fresh)
+
+
+class TestShootValues:
+    @settings(max_examples=1000)
+    @given(
+        counts=st.lists(st.sampled_from((0, 0, 1, 2, 5, 40, 300)), min_size=1, max_size=30),
+        alpha=st.floats(0.25, 4.0),
+        r=st.floats(0.2, 3.0),
+        beta=st.floats(0.0, 1.2),
+        ell=st.floats(-5.0, 30.0),
+    )
+    @example(counts=[0, 3, 0, 2], alpha=1.0, r=1.0, beta=-0.5, ell=0.0)  # both None
+    @example(counts=[2, 0, 1, 1], alpha=0.25, r=0.2, beta=0.7, ell=3.0)
+    def test_values_match_shoot_bit_for_bit(self, counts, alpha, r, beta, ell):
+        # the tangents never feed the powers, V_N or the costate ratio;
+        # repr tells every bit of a double apart
+        args = (tuple(counts), 1.0 / alpha, r, beta, ell)
+        try:
+            shot = allocator._shoot(*args)
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                allocator._shoot_values(*args)
+            return
+        values = allocator._shoot_values(*args)
+        if shot is None:
+            assert values is None
+        else:
+            assert repr(values) == repr(shot[:3])
 
 
 class TestRouteConsistency:
