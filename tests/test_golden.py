@@ -28,14 +28,24 @@ def test_allocate_bytes(name, flags, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
-def test_overloaded_simulate_bytes(tmp_path):
-    out = tmp_path / "simulate.csv"
+def _check_simulate_bytes(tmp_path, name, mult):
+    out = tmp_path / name
     argv = [
         "simulate", "--model", "distflow", "--n", "5", "--delta", "0.1",
-        "--mult", "2.0", "--replications", "1", "--events", "3000",
+        "--mult", mult, "--replications", "1", "--events", "3000",
         "--seed", "7", "--out", str(out),
     ]
     assert main(argv) == 0
-    assert out.read_bytes() == (GOLDEN / "simulate.csv").read_bytes()
-    traj = tmp_path / "simulate.csv.traj0.csv"
-    assert traj.read_bytes() == (GOLDEN / "simulate.csv.traj0.csv").read_bytes()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    traj = tmp_path / f"{name}.traj0.csv"
+    assert traj.read_bytes() == (GOLDEN / f"{name}.traj0.csv").read_bytes()
+
+
+def test_overloaded_simulate_bytes(tmp_path):
+    _check_simulate_bytes(tmp_path, "simulate.csv", "2.0")
+
+
+def test_stable_simulate_bytes(tmp_path):
+    # at half the threshold stations empty and refill: 124 of the 266 warm
+    # solves start from a hint that leaves a newly occupied station unpowered
+    _check_simulate_bytes(tmp_path, "simulate_stable.csv", "0.5")
