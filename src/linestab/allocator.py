@@ -89,6 +89,12 @@ def _lin_weights(cfg: NetworkConfig) -> list[float]:
     return [2.0 * cfg.resistance * (n - j) for j in range(n)]
 
 
+def _range_error(alpha: float) -> AllocationError:
+    # the fair split's powers would come out zero, infinite or undefined
+    msg = f"alpha = {alpha!r} takes the weights w^(-1/alpha) out of double range"
+    return AllocationError(msg, {"alpha": alpha})
+
+
 def alpha_fair_lindist(
     x: Sequence[int], spec: FairnessSpec, cfg: NetworkConfig
 ) -> PowerAllocation:
@@ -99,7 +105,8 @@ def alpha_fair_lindist(
 
         p_j = x_j w_j^(-1/alpha) * headroom / sum_k x_k w_k^(1 - 1/alpha).
 
-    The constraint binds whenever any station is occupied.
+    The constraint binds whenever any station is occupied.  Raises
+    AllocationError where the powers of w leave the doubles (alpha near 0).
     """
     counts = _as_counts(x)
     if len(counts) != cfg.n_stations:
@@ -108,13 +115,19 @@ def alpha_fair_lindist(
         return PowerAllocation(p=(0.0,) * cfg.n_stations)
     w = _lin_weights(cfg)
     inv_alpha = 1.0 / spec.alpha
-    scale = cfg.w_headroom / math.fsum(
-        counts[j] * w[j] ** (1.0 - inv_alpha) for j in range(len(counts)) if counts[j] > 0
-    )
-    p = [
-        counts[j] * w[j] ** (-inv_alpha) * scale if counts[j] > 0 else 0.0
-        for j in range(len(counts))
-    ]
+    try:
+        scale = cfg.w_headroom / math.fsum(
+            counts[j] * w[j] ** (1.0 - inv_alpha) for j in range(len(counts)) if counts[j] > 0
+        )
+        p = [
+            counts[j] * w[j] ** (-inv_alpha) * scale if counts[j] > 0 else 0.0
+            for j in range(len(counts))
+        ]
+        total = math.fsum(p)
+    except (OverflowError, ZeroDivisionError):
+        total = math.nan
+    if not 0.0 < total < math.inf:
+        raise _range_error(spec.alpha)
     return PowerAllocation(p=tuple(p))
 
 
@@ -242,22 +255,22 @@ def _shooting_phase(
     r: float,
     v_limit: float,
     w_limit: float,
-    p_hint: list[float],
-    hint: _Solution,
+    p: list[float],
+    v_n: float,
+    grad: list[float],
 ) -> "_Solution | None":
     """Warm local phase of the binding solve: Newton on (b_2, log c).
 
-    The adjoint gradient g at the hint gives its costate, b_{j+1} / b_1 =
+    Starts from the powers p the hint keeps, with V_N and the adjoint
+    gradient g taken on them.  g gives the costate, b_{j+1} / b_1 =
     g_j V_j / g_0, hence the start b_2 = g_1 V_1 / g_0; log c starts where
-    the powers along that costate put the hint's linearized V_N on
-    v_limit.  ``hint`` is the previous `_binding_solve` return, whose
-    closing gradient was taken on exactly these powers unless a station
-    has emptied since; only then is g recomputed.  Each Newton step is one
-    `_shoot` sweep.  Once |V_N - v_limit| < _NEAR_F1 v_limit and the
-    costate ratio is below _NEAR_F2 times its tolerance, the next step
-    first runs `_shoot_values` at the new unknowns and stops there if that
-    sweep converges; otherwise `_shoot` redoes it with tangents, so the
-    iterates are those of plain Newton.  Returns (powers, V_N, gradient)
+    the powers along that costate put the linearized V_N at p on v_limit;
+    a station p leaves unpowered has g_j > 0 all the same.  Each Newton
+    step is one `_shoot` sweep.  Once |V_N - v_limit| < _NEAR_F1 v_limit
+    and the costate ratio is below _NEAR_F2 times its tolerance, the next
+    step first runs `_shoot_values` at the new unknowns and stops there if
+    that sweep converges; otherwise `_shoot` redoes it with tangents, so
+    the iterates are those of plain Newton.  Returns (powers, V_N, gradient)
     once |V_N - v_limit| < 1e-12 v_limit and the costate ratio is at its
     rounding floor, provided they pass the binding solve's final checks
     (one adjoint gradient, the one returned); None, to fall back to the
@@ -269,23 +282,19 @@ def _shooting_phase(
     """
     if len(counts) < 2:
         return None
-    if tuple(p_hint) == hint[0]:
-        v_n, grad = hint[1], hint[2]
-    else:
-        v_n, grad = _root_voltage_and_gradient(p_hint, r)
     g0 = grad[0]
     if not (math.isfinite(v_n) and g0 > 0.0):
         return None
-    beta = grad[1] * (1.0 + r * p_hint[0]) / g0
+    beta = grad[1] * (1.0 + r * p[0]) / g0
     # along q_j = x_j (g_j / g_0)^(-1/alpha) the powers are c^(-1/alpha) q,
-    # and V_N ~ v_n + g . (c^(-1/alpha) q - p_hint) = v_limit fixes c
+    # and V_N ~ v_n + g . (c^(-1/alpha) q - p) = v_limit fixes c
     lift = v_limit - v_n
     slope = 0.0
     for j in active:
         gj = grad[j]
         if not gj > 0.0:
             return None
-        lift += gj * p_hint[j]
+        lift += gj * p[j]
         slope += gj * counts[j] * (gj / g0) ** -inv_alpha
     if not (lift > 0.0 and 0.0 < slope / lift < math.inf):
         return None
@@ -344,54 +353,49 @@ def _binding_solve(
 ) -> _Solution:
     """Scale-and-direction form of the Distflow optimum.
 
+    ``hint`` is the previous solve's return, typically one vehicle away.
+    The solve keeps its powers at the occupied stations, zero elsewhere,
+    and runs `_shooting_phase` from them with the hint's V_N and gradient,
+    recomputed only if a station has emptied.  Without a hint, or should
+    the shot give up, the outer iteration runs, started from the
+    linearized closed form or from the kept powers.
+
     Stationarity makes p_j = s x_j ghat_j^(-1/alpha) with ghat the gradient
     of the squared root voltage and s = mu^(-1/alpha); the constraint binds,
     which pins s.  Each outer step refreshes the direction with one adjoint
     gradient, then solves for s by Newton with one tangent pass (V_N and
     dV_N/ds) per step; one more adjoint pass checks the returned point.
-    Started from a neighbouring state's powers, as in an overloaded
-    simulation, this outer iteration takes about 7 gradients and 11
-    tangent passes.
-
-    ``hint`` warm-starts the solve: the simulator passes the previous
-    solve's return, typically one vehicle away.  A usable hint, one that
-    powers every occupied station, first runs `_shooting_phase`, which
-    starts from the hint's gradient (recomputed only if a station has
-    emptied), takes about 2.3 two-tangent sweeps (each costs about 2.5
-    adjoint gradients) and one value-only sweep, and one adjoint gradient
-    to check the result.  Should that phase give up, the outer iteration
-    starts from the hint's powers.  Without a usable hint the linearized
-    closed form seeds the outer iteration.  Returns (powers, V_N,
-    gradient), the last two from the adjoint pass on the powers, which
-    have |slack| <= 1e-9 in squared-voltage units; or raises
-    AllocationError.
+    From a neighbouring state's powers this takes about 7 gradients and 11
+    tangent passes.  Returns (powers, V_N, gradient), the last two from
+    the adjoint pass on the powers, which have |slack| <= 1e-9 in
+    squared-voltage units; or raises AllocationError, which names alpha
+    where ghat^(-1/alpha) leaves the doubles.
     """
     n = cfg.n_stations
+    r = cfg.resistance
     active = [j for j in range(n) if counts[j] > 0]
     if not active:
         zeros = (0.0,) * n
-        return (zeros, *_root_voltage_and_gradient(zeros, cfg.resistance))
+        return (zeros, *_root_voltage_and_gradient(zeros, r))
     inv_alpha = 1.0 / spec.alpha
-    r = cfg.resistance
     v_limit = cfg.v_limit
     w_limit = cfg.w_limit
-
-    p_hint = None if hint is None else hint[0]
-    if p_hint is not None and len(p_hint) == n and all(
-        p_hint[j] > 0.0 for j in active
-    ):
-        p = [float(p_hint[j]) if counts[j] > 0 else 0.0 for j in range(n)]
+    if hint is None:
+        p = list(alpha_fair_lindist(counts, spec, cfg).p)
+    else:
+        p = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
+        if tuple(p) == hint[0]:
+            v_n, grad = hint[1], hint[2]
+        else:
+            v_n, grad = _root_voltage_and_gradient(p, r)
         try:
             shot = _shooting_phase(
-                counts, active, inv_alpha, r, v_limit, w_limit, p, hint
+                counts, active, inv_alpha, r, v_limit, w_limit, p, v_n, grad
             )
         except (OverflowError, ZeroDivisionError):
             shot = None  # pow or exp left the floats: fall back as well
         if shot is not None:
             return shot
-    else:
-        seed = alpha_fair_lindist(counts, spec, cfg)
-        p = list(seed.p)
 
     d = [0.0] * n
     trial = [0.0] * n
@@ -415,13 +419,16 @@ def _binding_solve(
                 p[j] *= 0.0625
             v_n, grad = _root_voltage_and_gradient(p, r)
         two_vn = 2.0 * v_n
-        for j in active:
-            d[j] = counts[j] * (two_vn * grad[j]) ** (-inv_alpha)
+        try:
+            for j in active:
+                d[j] = counts[j] * (two_vn * grad[j]) ** (-inv_alpha)
+            s = math.fsum(p[j] for j in active) / math.fsum(d[j] for j in active)
+        except (OverflowError, ZeroDivisionError):
+            raise _range_error(spec.alpha) from None
         # scalar problem: V_N(s d) = v_limit, increasing and concave in s,
         # so a Newton step from below never lands past the root.  The slope
         # is taken at the trial point itself; a slope frozen at p is
         # arbitrarily wrong decades away and stalls.
-        s = math.fsum(p[j] for j in active) / math.fsum(d[j] for j in active)
         s_lo, s_hi = 0.0, math.inf
         for _ in range(80):
             v_try, slope = _root_voltage_and_slope(d, s, r)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -57,17 +57,7 @@ class RunManifest:
     seed: "int | None"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "output_path": self.output_path,
-                "tool_version": self.tool_version,
-                "seed": self.seed,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":

@@ -37,7 +37,6 @@ __all__ = [
     "NetworkConfig",
     "PowerAllocation",
     "PowerModel",
-    "distflow_gradient",
     "distflow_sensitivity",
     "feasible",
 ]
@@ -171,9 +170,9 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
 def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float, list[float]]:
     """Unvalidated fused pass: V[N] and its gradient as a plain list.
 
-    Shared by `distflow_gradient` and the allocator's binding solve, which
-    calls it once per direction refresh and once on the point it returns;
-    a warm solve starts from the one its predecessor returned.
+    The allocator's binding solve calls it once per direction refresh and
+    once on the point it returns; a warm solve starts from the one its
+    predecessor returned.
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.
@@ -217,16 +216,3 @@ def _root_voltage_and_slope(d: Sequence[float], s: float, r: float) -> tuple[flo
         t, t_prev = 2.0 * t - t_prev + r * dj / vj - rq * t / (vj * vj), t
     return v, t
 
-
-def distflow_gradient(p: "PowerAllocation | Sequence[float]", r: float) -> tuple[float, ...]:
-    """Gradient of the root-side Distflow voltage V[N] in each station power.
-
-    One reverse (adjoint) sweep over the recursion; entry j is dV[N]/dp[j].
-    All entries are positive: pushing power anywhere raises the drop.
-    """
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-    powers = _as_powers(p)
-    if not powers:
-        return ()
-    return tuple(_root_voltage_and_gradient(powers, r)[1])

@@ -25,7 +25,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocator import AllocationError, FairnessSpec, _binding_solve
+from .allocator import (
+    AllocationError,
+    FairnessSpec,
+    _binding_solve,
+    _lin_weights,
+    _range_error,
+)
 from .powerflow import NetworkConfig, PowerModel
 
 __all__ = [
@@ -127,11 +133,7 @@ class ProbeRow:
 
 def _normalize(x: Sequence[int]) -> tuple[int, ...]:
     """Scale queue lengths by their gcd; fair splits are ray-invariant in x."""
-    g = 0
-    for v in x:
-        g = math.gcd(g, v)
-        if g == 1:
-            return tuple(x)
+    g = math.gcd(*x)
     if g <= 1:
         return tuple(x)
     return tuple(v // g for v in x)
@@ -145,21 +147,23 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     cached under their gcd-normalized occupancy (the optimum only depends
     on the ray through x), and cache misses warm-start from the last
     solve's return, typically one vehicle away: its powers, and the V_N
-    and adjoint gradient it took on them.  With that hint the solve shoots
-    on two unknowns, one adjoint gradient and about 3.3 O(N) sweeps, and
-    falls back to its outer iteration from the same powers when shooting
-    gives up (a newly occupied station, which the hint leaves unpowered,
-    skips the shooting).
+    and adjoint gradient it took on them, from which the solve shoots.
+    Either model raises AllocationError, naming alpha, where the powers of
+    its weights leave the doubles; an empty feeder draws no power.
     """
     net = cfg.network
     n = net.n_stations
-    inv_alpha = 1.0 / cfg.fairness.alpha
-    weights = [2.0 * net.resistance * (n - j) for j in range(n)]
+    alpha = cfg.fairness.alpha
+    inv_alpha = 1.0 / alpha
     zeros = ([0.0] * n, 0.0)
 
     if cfg.model is PowerModel.LINDIST:
-        w_neg = [w ** (-inv_alpha) for w in weights]
-        w_pos = [w ** (1.0 - inv_alpha) for w in weights]
+        weights = _lin_weights(net)
+        try:
+            w_neg = [w ** (-inv_alpha) for w in weights]
+            w_pos = [w ** (1.0 - inv_alpha) for w in weights]
+        except OverflowError:
+            raise _range_error(alpha) from None
         headroom = net.w_headroom
 
         def solve_lin(x: Sequence[int]) -> tuple[list[float], float]:
@@ -167,11 +171,13 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
             for j in range(n):
                 if x[j] > 0:
                     denom += x[j] * w_pos[j]
-            if denom == 0.0:
-                return zeros
-            scale = headroom / denom
+            scale = headroom / denom if denom else 0.0
             p = [x[j] * w_neg[j] * scale if x[j] > 0 else 0.0 for j in range(n)]
-            return p, math.fsum(p)
+            total = math.fsum(p)
+            # an empty feeder draws nothing; an occupied one must draw power
+            if not 0.0 < total < math.inf and any(x):
+                raise _range_error(alpha)
+            return p, total
 
         return solve_lin
 

@@ -46,8 +46,6 @@ __all__ = [
     "ratio_P",
 ]
 
-_HALF_PI = 0.5 * math.pi
-
 # `newton_solve_a` accepts a root once its relative step falls below
 # STEP_TOL, and raises NewtonFailure after ITERATION_CAP iterations
 STEP_TOL = 1e-10
@@ -108,6 +106,11 @@ def _log_v_limit(delta: float) -> float:
     return -math.log1p(-delta)
 
 
+def _continuum_root(delta: float) -> float:
+    # a_inf(delta), where the continuum profile f0(sqrt(a)) meets the cap
+    return 0.5 * math.pi * erfi(math.sqrt(_log_v_limit(delta))) ** 2
+
+
 def lambda_lin(cfg: NetworkConfig) -> float:
     """Exact per-station critical arrival rate, linearized model.
 
@@ -134,7 +137,7 @@ def lambda_dist_critical(r: float, delta: float) -> float:
     """
     _validate_r(r)
     _validate_delta(delta)
-    return _HALF_PI * erfi(math.sqrt(_log_v_limit(delta))) ** 2 / r
+    return _continuum_root(delta) / r
 
 
 def ratio_P(delta: float) -> float:
@@ -195,7 +198,7 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     _validate_delta(delta)
 
     target = 1.0 / (1.0 - delta)
-    a0 = _HALF_PI * erfi(math.sqrt(_log_v_limit(delta))) ** 2
+    a0 = _continuum_root(delta)
     # the discrete profile majorizes the continuum one, so the root sits
     # below a0; the cap only bites for delta near 1/2, and moving it would
     # move the digits of every threshold reported there

@@ -6,10 +6,11 @@ big-float arithmetic, generic grid search, the squared-voltage and summed
 forms of the recursion, a dual-multiplier search for the fair split) so
 that agreement between the two routes is meaningful evidence rather than
 a tautology.  The literal profile (`distflow_from_root`,
-`distflow_voltages`) and the linearized load moment are the exception:
-they are the package's own arithmetic kept whole, where the package
-keeps only V[N] or inlines the sum, so the package must match them bit
-for bit.  The last section holds small helpers that only the tests call:
+`distflow_voltages`), the linearized load moment and the validated
+adjoint gradient `distflow_gradient` are the exception: they are the
+package's own arithmetic kept whole, where the package keeps only V[N],
+inlines the sum or calls the bare pass, so the package must match them
+bit for bit.  The last section holds small helpers that only the tests call:
 the continuum profile, the inverse of f0 and the fairness utility.
 """
 
@@ -81,6 +82,21 @@ def threshold_root_mp(n: int, delta: float, dps: int = 30) -> float:
             if abs(step) < a * mpmath.mpf(10) ** (10 - dps):
                 return float(a)
     raise ArithmeticError(f"mpmath threshold root did not converge (n = {n}, delta = {delta!r})")
+
+
+def distflow_gradient(p: "PowerAllocation | Sequence[float]", r: float) -> tuple[float, ...]:
+    """Gradient of the root-side Distflow voltage V[N] in each station power.
+
+    The package's own adjoint pass, validated: one reverse sweep over the
+    recursion; entry j is dV[N]/dp[j].  All entries are positive: pushing
+    power anywhere raises the drop.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"resistance must be positive, got {r!r}")
+    powers = _as_powers(p)
+    if not powers:
+        return ()
+    return tuple(_root_voltage_and_gradient(powers, r)[1])
 
 
 def distflow_gradient_forward(powers, r):

@@ -18,7 +18,6 @@ from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lin
 from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
-    distflow_gradient,
     distflow_sensitivity,
     feasible,
 )
@@ -34,6 +33,7 @@ from linestab.stability import (
 from oracles import (
     distflow_double_sum,
     distflow_from_root,
+    distflow_gradient,
     distflow_sensitivity_profile,
     distflow_voltages,
     distflow_w_recursion,

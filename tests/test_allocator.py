@@ -19,10 +19,15 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
     _root_voltage_and_gradient,
-    distflow_gradient,
     feasible,
 )
-from oracles import _dual_solve, distflow_voltages, fairness_utility, grid_search_allocation
+from oracles import (
+    _dual_solve,
+    distflow_gradient,
+    distflow_voltages,
+    fairness_utility,
+    grid_search_allocation,
+)
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
 
@@ -337,9 +342,9 @@ class TestWarmChain:
             want, _ = _dual_solve(x, spec, cfg)
             for a, b in zip(p, want):
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
-        # a hint that leaves a newly occupied station unpowered skips the
-        # phase; the rest must be answered by shooting, not by the fallback
-        assert len(shots) >= 30
+        # every warm solve shoots, a newly occupied station included, and
+        # none falls back
+        assert len(shots) == 40
         assert all(s is not None for s in shots)
 
     @pytest.mark.parametrize(
@@ -388,6 +393,68 @@ class TestWarmChain:
         fresh = _binding_solve(x, spec, cfg, _hint(kept, cfg))
         assert None not in shots
         assert repr(carried) == repr(fresh)
+
+    def _newly_occupied(self):
+        # station 2 was empty in the hint's state, so the hint leaves it
+        # unpowered; no station has emptied
+        cfg = NetworkConfig(6, 1.3, 0.2)
+        spec = FairnessSpec(1.0)
+        hint = _binding_solve((40, 12, 0, 60, 10, 30), spec, cfg)
+        assert hint[0][2] == 0.0
+        return cfg, spec, hint, (40, 12, 1, 60, 10, 30)
+
+    def test_newly_occupied_station_shoots_from_the_hint(self, monkeypatch):
+        cfg, spec, hint, x = self._newly_occupied()
+        shots = _spy_shooting(monkeypatch)
+        gradients = _count_gradients(monkeypatch)
+        p = _binding_solve(x, spec, cfg, hint)[0]
+        # the hint's own gradient starts the shot; only the closing one is taken
+        assert len(shots) == 1 and shots[0] is not None
+        assert gradients == [p]
+        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+        assert abs(slack) <= 1e-9
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+    def test_outer_iteration_from_an_unpowered_hint(self, monkeypatch):
+        cfg, spec, hint, x = self._newly_occupied()
+        monkeypatch.setattr(allocator, "_shooting_phase", lambda *args: None)
+        p, v_n, grad = _binding_solve(x, spec, cfg, hint)
+        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
+        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+        assert abs(slack) <= 1e-9
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+
+class TestTinyAlpha:
+    """At alpha near 0 the weights' powers w^(-1/alpha) leave the doubles;
+    that is a failure naming alpha, never a silent zero or a bare
+    arithmetic error."""
+
+    SPEC = FairnessSpec(0.001)
+
+    def test_closed_form_with_every_power_underflowing(self):
+        # w = 6, 4, 2: only the station next to the root keeps a
+        # representable w^(1 - 1/alpha)
+        cfg = NetworkConfig(3, 1.0, 0.1)
+        with pytest.raises(AllocationError, match="alpha = 0.001"):
+            alpha_fair_lindist([1, 0, 0], self.SPEC, cfg)
+        assert alpha_fair_lindist([1, 1, 1], self.SPEC, cfg).p == pytest.approx(
+            (0.0, 0.0, cfg.w_headroom / 2.0), rel=1e-15
+        )
+        assert alpha_fair_lindist([0, 0, 0], self.SPEC, cfg).p == (0.0,) * 3
+
+    @pytest.mark.parametrize("r", [1.0, 0.1])
+    def test_distflow(self, r):
+        # r = 1: the direction underflows in the outer iteration; r = 0.1:
+        # w < 1, so the closed-form seed overflows
+        cfg = NetworkConfig(3, r, 0.1)
+        with pytest.raises(AllocationError, match="alpha = 0.001"):
+            alpha_fair_distflow([1, 1, 1], self.SPEC, cfg)
+        assert alpha_fair_distflow([0, 0, 0], self.SPEC, cfg).p == (0.0,) * 3
 
 
 class TestShootValues:

@@ -211,6 +211,13 @@ class TestAllocateCmd:
         _exits_2(capsys, "allocate", "--x", ",", "--delta", "0.2")
         _exits_2(capsys, "allocate", "--x", "-1,2", "--delta", "0.2")
 
+    @pytest.mark.parametrize("model", ["lindist", "distflow"])
+    def test_tiny_alpha_is_a_solver_failure_naming_alpha(self, capsys, model):
+        code = main(["allocate", "--x", "1,0,0", "--alpha", "0.001",
+                     "--delta", "0.1", "--model", model])
+        assert code == 3
+        assert "alpha = 0.001" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -258,6 +265,16 @@ class TestSimulateCmd:
 
     def test_horizon_is_not_a_flag(self, capsys):
         _exits_2(capsys, "simulate", "--n", "2", "--delta", "0.2", "--horizon", "1")
+
+    def test_tiny_alpha_aborts_instead_of_voting(self, capsys):
+        # every occupied w_j^(1 - 1/alpha) of state (1, 0, 0) underflows at
+        # alpha = 0.001; a run that served nobody used to vote unstable
+        code = main(["simulate", "--model", "lindist", "--n", "3", "--delta", "0.1",
+                     "--alpha", "0.001", "--mult", "0.5", "--events", "5000",
+                     "--replications", "3"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "simulation abort" in err and "alpha = 0.001" in err
 
     def test_abort_maps_to_exit_4(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

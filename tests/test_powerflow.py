@@ -14,7 +14,6 @@ from linestab.powerflow import (
     PowerModel,
     _root_voltage_and_gradient,
     _root_voltage_and_slope,
-    distflow_gradient,
     distflow_sensitivity,
     feasible,
 )
@@ -22,6 +21,7 @@ from oracles import (
     VoltageProfile,
     distflow_double_sum,
     distflow_from_root,
+    distflow_gradient,
     distflow_gradient_forward,
     distflow_sensitivity_profile,
     distflow_voltages,

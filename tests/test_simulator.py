@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 import linestab.simulator as simulator
-from linestab.allocator import FairnessSpec, alpha_fair_lindist
+from linestab.allocator import AllocationError, FairnessSpec, alpha_fair_lindist
 from linestab.powerflow import NetworkConfig, PowerModel, feasible
 from linestab.simulator import (
     Classification,
@@ -266,6 +266,27 @@ class TestAllocatorBridge:
             p, total = solve((0, 0, 0))
             assert p == [0.0, 0.0, 0.0]
             assert total == 0.0
+
+    def test_tiny_alpha_fails_instead_of_drawing_no_power(self):
+        # at alpha = 0.001 every occupied w_j^(1 - 1/alpha) of (1, 0, 0)
+        # underflows; the empty feeder still draws nothing
+        for model in (PowerModel.LINDIST, PowerModel.DISTFLOW):
+            solve = _make_allocator(
+                _cfg(network=NetworkConfig(3, 1.0, 0.1), fairness=FairnessSpec(0.001),
+                     model=model, arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
+            )
+            assert solve((0, 0, 0)) == ([0.0, 0.0, 0.0], 0.0)
+            with pytest.raises(AllocationError, match="alpha = 0.001"):
+                solve((1, 0, 0))
+
+    def test_tiny_alpha_overflow_fails_naming_alpha(self):
+        # r = 0.1 makes every weight w = 2 r (N - j) < 1, so w^(-1/alpha)
+        # overflows
+        with pytest.raises(AllocationError, match="alpha = 0.001"):
+            _make_allocator(
+                _cfg(network=NetworkConfig(3, 0.1, 0.1), fairness=FairnessSpec(0.001),
+                     arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
+            )
 
 
 class TestSingleStationOracle:
