@@ -10,29 +10,33 @@ keep the voltage profile feasible, with
 Under the linearized model the feasibility set is the half space
 sum_j w_j p_j <= headroom with weights w_j = 2 r (N - j), and the KKT
 conditions collapse to a closed form.  Under full Distflow the constraint
-surface is curved.  Stationarity still fixes the direction of the optimum,
-p_j proportional to x_j g_j(p)^(-1/alpha) with g_j the gradient of the
-squared root-side voltage, and the binding constraint fixes its scale; the
-solver alternates the two.  A direction refresh takes one O(N) adjoint
-gradient; the scale solve needs only the slope along the direction, one
-forward tangent pass per Newton step.  Empty stations always get zero power.
+surface is curved, and every solve has one start rule.  It starts from
+powers with the V_N and O(N) adjoint gradient taken on them: the previous
+solve's return when the simulator passes one as a hint, else the
+linearized closed form, with one gradient taken there.
 
-Given a warm start (the simulator passes the previous solve's return:
-its powers, with the V_N and adjoint gradient taken on them) the solve
-first tries a local phase.  The KKT conditions are a two-point recursion:
-voltages run out from the far end, and the costate b_k = dV_N/dV_k obeys
-the adjoint recursion, which runs forward just as well.  Fixing b_1 = 1,
-the unknowns (b_2, log c), c the scaled multiplier, are pinned by V_N =
-v_limit and b_{N+1} = 0, so Newton's method shoots on two unknowns for any
-N, each step one O(N) sweep that carries two tangent directions (Stoer &
-Bulirsch, Introduction to Numerical Analysis, 7.3).  Once the residual is
-small, the next sweep first runs without its tangents, which only a
-further step would use.  A warm solve then takes one adjoint gradient, on
-the powers it returns, about 2.3 two-tangent sweeps and one value-only
-sweep; the gradient it returns starts the next solve.  Shooting from a
-far-off start is not robust, so the phase hands over to the alternating
-iteration, started from the same hint, whenever a costate turns
+From that start the solve shoots.  The KKT conditions are a two-point
+recursion: voltages run out from the far end, and the costate b_k =
+dV_N/dV_k obeys the adjoint recursion, which runs forward just as well.
+Fixing b_1 = 1, the unknowns (b_2, log c), c the scaled multiplier, are
+pinned by V_N = v_limit and b_{N+1} = 0, so Newton's method shoots on two
+unknowns for any N, each step one O(N) sweep that carries two tangent
+directions (Stoer & Bulirsch, Introduction to Numerical Analysis, 7.3).
+Once the residual is small, the next sweep first runs without its
+tangents, which only a further step would use.  A warm solve then takes
+one adjoint gradient, on the powers it returns, about 2.3 two-tangent
+sweeps and one value-only sweep; the gradient it returns starts the next
+solve.  A cold solve takes two gradients, about 3.1 two-tangent sweeps and
+one value-only sweep.
+
+Shooting from a far-off start is not robust, so the phase hands over,
+from the same start, to an alternating iteration whenever a costate turns
 nonpositive, a value leaves the floats or the residual stops falling.
+Stationarity fixes the direction of the optimum, p_j proportional to
+x_j g_j(p)^(-1/alpha) with g_j the gradient of the squared root-side
+voltage, and the binding constraint fixes its scale; the iteration
+alternates the two, each scalar Newton step one adjoint gradient at the
+trial point.  Empty stations always get zero power.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .powerflow import (
     NetworkConfig,
     PowerAllocation,
     _root_voltage_and_gradient,
-    _root_voltage_and_slope,
 )
 
 __all__ = [
@@ -259,10 +262,11 @@ def _shooting_phase(
     v_n: float,
     grad: list[float],
 ) -> "_Solution | None":
-    """Warm local phase of the binding solve: Newton on (b_2, log c).
+    """Local phase of the binding solve: Newton on (b_2, log c).
 
-    Starts from the powers p the hint keeps, with V_N and the adjoint
-    gradient g taken on them.  g gives the costate, b_{j+1} / b_1 =
+    Starts from the binding solve's start powers p (the hint's, or the
+    linearized closed form's), with V_N and the adjoint gradient g taken
+    on them.  g gives the costate, b_{j+1} / b_1 =
     g_j V_j / g_0, hence the start b_2 = g_1 V_1 / g_0; log c starts where
     the powers along that costate put the linearized V_N at p on v_limit;
     a station p leaves unpowered has g_j > 0 all the same.  Each Newton
@@ -354,22 +358,22 @@ def _binding_solve(
     """Scale-and-direction form of the Distflow optimum.
 
     ``hint`` is the previous solve's return, typically one vehicle away.
-    The solve keeps its powers at the occupied stations, zero elsewhere,
-    and runs `_shooting_phase` from them with the hint's V_N and gradient,
-    recomputed only if a station has emptied.  Without a hint, or should
-    the shot give up, the outer iteration runs, started from the
-    linearized closed form or from the kept powers.
+    The start keeps its powers at the occupied stations, zero elsewhere,
+    with the hint's V_N and gradient, recomputed only if a station has
+    emptied.  Without a hint the start is the linearized closed form, with
+    one adjoint gradient taken on it.  `_shooting_phase` runs from the
+    start, and only should the shot give up does the outer iteration run,
+    from the same start.
 
     Stationarity makes p_j = s x_j ghat_j^(-1/alpha) with ghat the gradient
     of the squared root voltage and s = mu^(-1/alpha); the constraint binds,
-    which pins s.  Each outer step refreshes the direction with one adjoint
-    gradient, then solves for s by Newton with one tangent pass (V_N and
-    dV_N/ds) per step; one more adjoint pass checks the returned point.
-    From a neighbouring state's powers this takes about 7 gradients and 11
-    tangent passes.  Returns (powers, V_N, gradient), the last two from
-    the adjoint pass on the powers, which have |slack| <= 1e-9 in
-    squared-voltage units; or raises AllocationError, which names alpha
-    where ghat^(-1/alpha) leaves the doubles.
+    which pins s.  Each outer step refreshes the direction d from the
+    gradient, then solves V_N(s d) = v_limit by Newton, each step one
+    adjoint pass at the trial loads s d for V_N and the slope g . d; the
+    last of them checks the returned point.  Returns (powers, V_N,
+    gradient), the last two from the adjoint pass on the powers, which have
+    |slack| <= 1e-9 in squared-voltage units; or raises AllocationError,
+    which names alpha where ghat^(-1/alpha) leaves the doubles.
     """
     n = cfg.n_stations
     r = cfg.resistance
@@ -384,18 +388,16 @@ def _binding_solve(
         p = list(alpha_fair_lindist(counts, spec, cfg).p)
     else:
         p = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
-        if tuple(p) == hint[0]:
-            v_n, grad = hint[1], hint[2]
-        else:
-            v_n, grad = _root_voltage_and_gradient(p, r)
-        try:
-            shot = _shooting_phase(
-                counts, active, inv_alpha, r, v_limit, w_limit, p, v_n, grad
-            )
-        except (OverflowError, ZeroDivisionError):
-            shot = None  # pow or exp left the floats: fall back as well
-        if shot is not None:
-            return shot
+    if hint is not None and tuple(p) == hint[0]:
+        v_n, grad = hint[1], hint[2]
+    else:
+        v_n, grad = _root_voltage_and_gradient(p, r)
+    try:
+        shot = _shooting_phase(counts, active, inv_alpha, r, v_limit, w_limit, p, v_n, grad)
+    except (OverflowError, ZeroDivisionError):
+        shot = None  # pow or exp left the floats: fall back as well
+    if shot is not None:
+        return shot
 
     d = [0.0] * n
     trial = [0.0] * n
@@ -403,7 +405,6 @@ def _binding_solve(
     prev_p: "list[float] | None" = None
     prev_q: "list[float] | None" = None
     for outer in range(_MAX_OUTER):
-        v_n, grad = _root_voltage_and_gradient(p, r)
         shrink = 0
         while not math.isfinite(v_n) or any(grad[j] <= 0.0 for j in active):
             # seed past blow-up (the linearized model admits loads the
@@ -427,16 +428,19 @@ def _binding_solve(
             raise _range_error(spec.alpha) from None
         # scalar problem: V_N(s d) = v_limit, increasing and concave in s,
         # so a Newton step from below never lands past the root.  The slope
-        # is taken at the trial point itself; a slope frozen at p is
+        # g . d is taken at the trial point itself; a slope frozen at p is
         # arbitrarily wrong decades away and stalls.
         s_lo, s_hi = 0.0, math.inf
         for _ in range(80):
-            v_try, slope = _root_voltage_and_slope(d, s, r)
-            if not math.isfinite(v_try) or not slope > 0.0:
+            for j in active:
+                trial[j] = s * d[j]
+            v_n, grad = _root_voltage_and_gradient(trial, r)
+            slope = sum(grad[j] * d[j] for j in active)
+            if not math.isfinite(v_n) or not slope > 0.0:
                 s_hi = s
                 s = 0.5 * (s_lo + s)
                 continue
-            phi = v_try - v_limit
+            phi = v_n - v_limit
             if abs(phi) < 1e-12 * v_limit:
                 # slack = (v_limit - V)(v_limit + V) lands ~2e-12, well
                 # inside the acceptance tolerance; tighter is wasted work
@@ -459,17 +463,13 @@ def _binding_solve(
             )
         change = 0.0
         for j in active:
-            q = s * d[j]
-            trial[j] = q
+            q = trial[j]
             diff = abs(q - p[j])
             if diff > change * q:
                 change = diff / max(q, 1e-300)
         if change < 1e-12:
-            # p is now the last scalar trial; the tangent passes see only
+            # the last scalar trial is returned; the scale solve saw only
             # g . d, so check every station's gradient entry here
-            for j in active:
-                p[j] = trial[j]
-            v_n, grad = _root_voltage_and_gradient(p, r)
             if any(grad[j] <= 0.0 for j in active):
                 raise AllocationError(
                     "returned loads are past the representable range",
@@ -477,7 +477,7 @@ def _binding_solve(
                 )
             slack = w_limit - v_n * v_n
             if abs(slack) <= 1e-9:
-                return tuple(p), v_n, grad
+                return tuple(trial), v_n, grad
             raise AllocationError(
                 "direction iteration settled off the constraint",
                 {"state": counts, "slack": slack},
@@ -496,6 +496,7 @@ def _binding_solve(
         one_minus = 1.0 - theta
         for j in active:
             p[j] = one_minus * p[j] + theta * trial[j]
+        v_n, grad = _root_voltage_and_gradient(p, r)
     raise AllocationError(
         "direction iteration did not settle", {"state": counts, "outer": _MAX_OUTER}
     )

@@ -191,7 +191,10 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     delta = 0.01; larger delta does better.
 
     Raises NewtonFailure after ITERATION_CAP iterations, or when the
-    accepted residual exceeds 1e-6 of the drop cap.
+    accepted residual exceeds 1e-6 of the headroom delta/(1 - delta), the
+    rise V_N makes over V_0 = 1; at tiny delta the rounding floor of the
+    cap itself lies past that bound, and the threshold fails there rather
+    than print a wrong root.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"the Distflow threshold needs an integer n >= 2, got {n!r}")
@@ -249,10 +252,11 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
             break
     if len(residuals) < len(iterates):
         residuals.append(distflow_sensitivity(a_cur, n)[0] - target)
-    if converged and abs(residuals[-1]) > 1e-6 * target:
+    headroom = delta / (1.0 - delta)
+    if converged and abs(residuals[-1]) > 1e-6 * headroom:
         raise NewtonFailure(
-            f"accepted residual {residuals[-1]:.3g} exceeds 1e-6 of the drop cap "
-            f"(n = {n}, delta = {delta:g})",
+            f"accepted residual {residuals[-1]:.3g} exceeds 1e-6 of the headroom "
+            f"delta/(1 - delta) = {headroom:.3g} (n = {n}, delta = {delta:g})",
             _make_trace(a0, iterates, residuals, converged=False),
         )
     trace = _make_trace(a0, iterates, residuals, converged)

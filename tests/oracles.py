@@ -620,6 +620,61 @@ def _dual_solve(
     )
 
 
+
+def kkt_point_mp(x: Sequence[int], alpha: float, r: float, delta: float, dps: int = 40):
+    """Distflow alpha-fair optimum from its KKT system in dps-digit arithmetic.
+
+    Unknowns are log p_j at the occupied stations and log mu; the equations
+    are stationarity, log p_j - log x_j + (log mu + log g_j(p)) / alpha = 0
+    with g the adjoint gradient of V_N carried in mpmath, and the binding
+    constraint V_N(p) = 1 / (1 - delta).  `mpmath.findroot` solves them
+    from `_dual_solve`'s float answer, so no rounding floor of the double
+    recursion gets in.  Returns the powers as floats, zero at empty stations.
+    """
+    counts = _as_counts(x)
+    n = len(counts)
+    active = [j for j in range(n) if counts[j] > 0]
+    start, _ = _dual_solve(counts, FairnessSpec(alpha), NetworkConfig(n, r, delta))
+    with mpmath.workdps(dps):
+        rr = mpmath.mpf(repr(r))
+        aa = mpmath.mpf(repr(alpha))
+        cap = 1 / (1 - mpmath.mpf(repr(delta)))
+
+        def voltage_and_gradient(p):
+            v = [mpmath.mpf(1), 1 + rr * p[0]]
+            for j in range(1, n):
+                v.append(2 * v[j] - v[j - 1] + rr * p[j] / v[j])
+            g = [mpmath.mpf(0)] * n
+            a, a_prev = mpmath.mpf(1), mpmath.mpf(0)
+            for j in range(n - 1, 0, -1):
+                g[j] = a * rr / v[j]
+                a, a_prev = (2 - rr * p[j] / v[j] ** 2) * a - a_prev, a
+            g[0] = a * rr
+            return v[n], g
+
+        def powers(logs):
+            p = [mpmath.mpf(0)] * n
+            for j, lp in zip(active, logs):
+                p[j] = mpmath.exp(lp)
+            return p
+
+        def residual(*unknowns):
+            *logs, log_mu = unknowns
+            v_n, g = voltage_and_gradient(powers(logs))
+            eqs = [
+                lp - mpmath.log(counts[j]) + (log_mu + mpmath.log(g[j])) / aa
+                for j, lp in zip(active, logs)
+            ]
+            return eqs + [v_n - cap]
+
+        logs0 = [mpmath.log(mpmath.mpf(repr(start[j]))) for j in active]
+        _, g0 = voltage_and_gradient(powers(logs0))
+        j = active[0]
+        log_mu0 = -aa * (logs0[0] - mpmath.log(counts[j])) - mpmath.log(g0[j])
+        root = mpmath.findroot(residual, logs0 + [log_mu0])
+        return tuple(float(u) for u in powers(list(root)[:-1]))
+
+
 # ------------------------------------------------- helpers only tests call
 
 

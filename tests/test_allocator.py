@@ -429,6 +429,41 @@ class TestWarmChain:
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
 
+
+class TestColdStart:
+    """A hint-less solve starts its shot from the linearized closed form,
+    with one adjoint gradient taken there, just as a warm solve starts from
+    its hint."""
+
+    CASES = [
+        ((3, 0, 1, 2), 2.0, NetworkConfig(4, 1.0, 0.15)),
+        ((40, 12, 0, 60, 10, 30), 1.0, NetworkConfig(6, 1.3, 0.2)),
+        ((1, 7, 3, 0, 9, 2, 5, 8, 4, 6), 0.5, NetworkConfig(10, 0.4, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("x,alpha,cfg", CASES)
+    def test_shoots_once_on_two_gradients(self, monkeypatch, x, alpha, cfg):
+        spec = FairnessSpec(alpha)
+        seed = alpha_fair_lindist(x, spec, cfg).p
+        shots = _spy_shooting(monkeypatch)
+        gradients = _count_gradients(monkeypatch)
+        p = alpha_fair_distflow(x, spec, cfg).p
+        assert len(shots) == 1 and shots[0] is not None
+        # one gradient on the seed starts the shot, one on the answer ends it
+        assert gradients == [seed, p]
+
+    @pytest.mark.parametrize("x,alpha,cfg", CASES)
+    def test_outer_iteration_from_the_linearized_seed(self, monkeypatch, x, alpha, cfg):
+        spec = FairnessSpec(alpha)
+        monkeypatch.setattr(allocator, "_shooting_phase", lambda *args: None)
+        p, v_n, grad = _binding_solve(x, spec, cfg)
+        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
+        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+        assert abs(slack) <= 1e-9
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
 class TestTinyAlpha:
     """At alpha near 0 the weights' powers w^(-1/alpha) leave the doubles;
     that is a failure naming alpha, never a silent zero or a bare

@@ -94,6 +94,19 @@ class TestThresholds:
         v_n = distflow_voltages([float(row[4])] * 400, 1.0).root_end
         assert abs(v_n - NetworkConfig(400, 1.0, 0.5).v_limit) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "n,delta", [("2", "1e-15"), ("10", "1e-14"), ("100", "1e-12"), ("1000", "1e-8")]
+    )
+    def test_headroom_below_the_rounding_floor_is_a_solver_failure(self, capsys, n, delta):
+        # 1e-6 of the cap 1/(1 - delta) is more than the whole headroom
+        # delta/(1 - delta), so a check scaled by the cap passes the
+        # continuum start unmoved; V_N's rounding floor fails a check
+        # scaled by the headroom, and no Distflow row prints
+        assert main(["thresholds", "--n", n, "--delta", delta, "--model", "both"]) == 3
+        captured = capsys.readouterr()
+        assert "distflow" not in captured.out
+        assert "1e-6 of the headroom" in captured.err
+
 
 class TestNewtonCmd:
     def test_forward_backward_anchor_row(self, capsys):

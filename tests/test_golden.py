@@ -10,6 +10,7 @@ import pathlib
 import pytest
 
 from linestab.cli import main
+from oracles import kkt_point_mp
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -26,6 +27,21 @@ ALLOCATE_CASES = [
 def test_allocate_bytes(name, flags, capsysbinary):
     assert main(["allocate", *flags, "--model", "distflow"]) == 0
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,flags", ALLOCATE_CASES, ids=[c[0] for c in ALLOCATE_CASES])
+def test_allocate_powers_are_the_kkt_point(name, flags):
+    # every printed power lies within 5e-13 relative of the 40-digit KKT
+    # point; the CLI's default resistance is 1
+    opts = dict(zip(flags[::2], flags[1::2]))
+    x = [int(v) for v in opts["--x"].split(",")]
+    want = kkt_point_mp(x, float(opts["--alpha"]), 1.0, float(opts["--delta"]))
+    rows = (GOLDEN / name).read_text().splitlines()[1:]
+    assert rows.pop().startswith("slack,")
+    assert len(rows) == len(x)
+    for row in rows:
+        station, _, power = row.split(",")
+        assert float(power) == pytest.approx(want[int(station)], rel=5e-13, abs=0.0)
 
 
 def _check_simulate_bytes(tmp_path, name, mult):
