@@ -396,7 +396,7 @@ class TestSensitivity:
     def test_matches_oracle_profile_exactly(self, n, a):
         # V[n] is the literal recursion on the uniform load a / n^2 with
         # r = 1, and Y[n] = n^2 dV[n]/da is the sum of its gradient entries.
-        # The tangent and adjoint recursions round apart by a few ulps per
+        # The tangent and adjoint recursions round apart by up to ~40 ulps per
         # station: 1.1e-12 at n = 1000, 8.8e-10 at n = 1e5
         v, y = distflow_sensitivity_profile(a, n)
         got = distflow_sensitivity(a, n)
