@@ -10,10 +10,10 @@ keep the voltage profile feasible, with
 Under the linearized model the feasibility set is the half space
 sum_j w_j p_j <= headroom with weights w_j = 2 r (N - j), and the KKT
 conditions collapse to a closed form.  Under full Distflow the constraint
-surface is curved, and every solve has one start rule.  It starts from
-powers with the V_N and O(N) adjoint gradient taken on them: the previous
-solve's return when the simulator passes one as a hint, else the
-linearized closed form, with one gradient taken there.
+surface is curved.  Every solve starts from powers with the V_N and O(N)
+adjoint gradient taken on them: the previous solve's return when the
+simulator passes one as a hint, else the linearized closed form, with one
+gradient taken there.
 
 From that start the solve shoots.  The KKT conditions are a two-point
 recursion: voltages run out from the far end, and the costate b_k =
