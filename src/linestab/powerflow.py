@@ -178,9 +178,9 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
     """Unvalidated fused pass: V[N] and its gradient as a plain list.
 
     The allocator's binding solve calls it on its start (a warm solve
-    reuses the one its predecessor returned) and on the point it returns;
-    its fallback iteration, once per direction refresh and scalar Newton
-    step.  `feasible` keeps only V[N].
+    reuses the one its predecessor returned), on the point it returns and,
+    in its rare continuation, on each point reached.  `feasible` keeps only
+    V[N].
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.

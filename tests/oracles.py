@@ -15,6 +15,7 @@ the continuum profile, the inverse of f0 and the fairness utility.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -676,6 +677,44 @@ def kkt_point_mp(x: Sequence[int], alpha: float, r: float, delta: float, dps: in
 
 
 # ------------------------------------------------- helpers only tests call
+
+
+def hard_allocation_cases(seed: int, count: int) -> list:
+    """A seeded stress mix of Distflow allocation inputs: (x, alpha, cfg).
+
+    N is log-uniform over 1 to 200, delta uniform over 0.01 to 0.5, alpha
+    and r log-uniform over 0.25 to 4 and 0.2 to 3.  Occupancies come in
+    three shapes, a third each: sparse (each station occupied with
+    probability 0.05 to 0.3, 1 to 50 vehicles), geometric along the feeder
+    (x_j = floor(x0 q^j), q spanning up to e^6 end to end, some stations
+    empty) and heavy (every station occupied, 10^2 to 10^4 vehicles in
+    all), with at least one vehicle in every state.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        n = min(int(math.exp(rng.uniform(0.0, math.log(201.0)))), 200)
+        delta = rng.uniform(0.01, 0.5)
+        alpha = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        r = math.exp(rng.uniform(math.log(0.2), math.log(3.0)))
+        shape = k % 3
+        if shape == 0:
+            occupied = rng.uniform(0.05, 0.3)
+            x = [
+                int(math.exp(rng.uniform(0.0, math.log(50.0)))) if rng.random() < occupied else 0
+                for _ in range(n)
+            ]
+        elif shape == 1:
+            x0 = math.exp(rng.uniform(0.0, math.log(1000.0)))
+            q = math.exp(rng.uniform(-6.0, 6.0) / n)
+            x = [int(x0 * q**j) for j in range(n)]
+        else:
+            total = 10.0 ** rng.uniform(2.0, 4.0)
+            x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
+        if not any(x):
+            x[rng.randrange(n)] = 1
+        cases.append((tuple(x), alpha, NetworkConfig(n, r, delta)))
+    return cases
 
 
 def continuum_voltage(a: float, t: float) -> float:

@@ -21,12 +21,14 @@ from linestab.powerflow import (
     _root_voltage_and_gradient,
     feasible,
 )
+from linestab.cli import main
 from oracles import (
     _dual_solve,
     distflow_gradient,
     distflow_voltages,
     fairness_utility,
     grid_search_allocation,
+    hard_allocation_cases,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -258,10 +260,49 @@ class TestDistflowAllocator:
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
 
-    def test_overflowing_hint_raises_allocation_error(self):
+    def test_overflowing_hint_is_solved_from_zero_load(self):
+        # the hint's V_N is infinite, so it gives no start; the continuation
+        # from zero load solves the state
         cfg = NetworkConfig(3, 1.0, 0.1)
-        with pytest.raises(AllocationError):
-            _binding_solve((1, 2, 3), FairnessSpec(1.0), cfg, _hint([math.inf] * 3, cfg))
+        spec = FairnessSpec(1.0)
+        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3, cfg))
+        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
+        want, _ = _dual_solve((1, 2, 3), spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+    def test_a_shot_that_gives_up_raises_with_its_last_residual(self, monkeypatch, capsys):
+        # a sweep whose V_N reads one too high never meets any target
+        shoot = allocator._shoot
+
+        def off_by_one(*args):
+            out = shoot(*args)
+            return None if out is None else (out[0], out[1] + 1.0, *out[2:])
+
+        monkeypatch.setattr(allocator, "_shoot", off_by_one)
+        with pytest.raises(AllocationError) as info:
+            alpha_fair_distflow([1, 2, 3], FairnessSpec(2.0), NetworkConfig(3, 1.0, 0.2))
+        diag = info.value.diagnostics
+        assert diag["state"] == (1, 2, 3) and diag["alpha"] == 2.0
+        # the continuation never left zero load, and V_N stayed past the cap
+        assert diag["t"] == 0.0
+        f1, f2 = diag["residual"]
+        assert f1 > 0.0 and math.isfinite(f2)
+        argv = ["allocate", "--x", "1,2,3", "--delta", "0.2", "--alpha", "2", "--model", "distflow"]
+        assert main(argv) == 3
+        assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r,delta", [(1.0, 0.2), (0.3, 0.5), (2.5, 0.01)])
+    def test_single_station_takes_the_whole_headroom(self, monkeypatch, r, delta):
+        # V_1 = 1 + r p_0 = v_limit has a closed form; nothing is shot
+        cfg = NetworkConfig(1, r, delta)
+        shots = _spy_shooting(monkeypatch)
+        for x in (1, 7, 300):
+            p = alpha_fair_distflow([x], FairnessSpec(0.5 * x), cfg).p
+            assert p == ((cfg.v_limit - 1.0) / r,)
+            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            assert abs(slack) <= 1e-9
+        assert shots == []
 
     def test_validation(self):
         cfg = NetworkConfig(2, 1.0, 0.1)
@@ -290,22 +331,30 @@ def _count_gradients(monkeypatch) -> list:
 
 
 def _spy_shooting(monkeypatch) -> list:
-    """Record what each shooting phase returns (None: it fell back) or the
-    type of the arithmetic error it raised."""
+    """Record what each shooting phase returns."""
     results = []
     phase = allocator._shooting_phase
 
     def spy(*args):
-        try:
-            out = phase(*args)
-        except ArithmeticError as exc:
-            results.append(type(exc))
-            raise
+        out = phase(*args)
         results.append(out)
         return out
 
     monkeypatch.setattr(allocator, "_shooting_phase", spy)
     return results
+
+
+def _spy_targets(monkeypatch) -> list:
+    """Record the V_N target of every damped shot."""
+    targets = []
+    shot = allocator._damped_shot
+
+    def spy(*args):
+        targets.append(args[4])
+        return shot(*args)
+
+    monkeypatch.setattr(allocator, "_damped_shot", spy)
+    return targets
 
 
 class TestWarmChain:
@@ -342,25 +391,26 @@ class TestWarmChain:
             want, _ = _dual_solve(x, spec, cfg)
             for a, b in zip(p, want):
                 assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
-        # every warm solve shoots, a newly occupied station included, and
-        # none falls back
+        # every warm solve shoots, a newly occupied station included
         assert len(shots) == 40
         assert all(s is not None for s in shots)
 
     @pytest.mark.parametrize(
         "x,hint_from",
         [
-            ((7,), (3,)),  # one station: nothing to shoot
+            ((7,), (3,)),  # one station: the closed form, nothing to shoot
             ((900, 5, 5, 5, 700), (1, 800, 900, 800, 1)),  # distant occupancy
         ],
     )
     def test_fallback_gives_the_same_answer(self, monkeypatch, x, hint_from):
+        # one station takes its closed form; a distant hint's shot needs
+        # damped steps; both must land where the dual oracle does
         cfg = NetworkConfig(len(x), 2.0, 0.4)
         spec = FairnessSpec(1.0)
         hint = _binding_solve(hint_from, spec, cfg)
         shots = _spy_shooting(monkeypatch)
         warm, v_n, grad = _binding_solve(x, spec, cfg, hint)
-        assert shots == [None]
+        assert len(shots) == (len(x) > 1)
         assert (v_n, grad) == _root_voltage_and_gradient(list(warm), cfg.resistance)
         want, _ = _dual_solve(x, spec, cfg)
         for a, b in zip(warm, want):
@@ -368,14 +418,17 @@ class TestWarmChain:
 
     def test_hint_whose_costate_overflows_pow_falls_back(self, monkeypatch):
         # gradient ratios near 1e-151 raised to 1/alpha = 3.3 overflow a
-        # double; that is a fallback, and the outer iteration reports the
-        # unusable hint as an AllocationError
+        # double, so the hint gives no start; the solve falls back to the
+        # continuation from zero load, whose first target is v_1/8
         cfg = NetworkConfig(3, 1.0, 0.1)
-        shots = _spy_shooting(monkeypatch)
-        with pytest.raises(AllocationError):
-            _binding_solve((1, 1, 1), FairnessSpec(0.3), cfg, _hint([1e150, 1e-10, 1e-10], cfg))
-        assert shots == [OverflowError]
-
+        spec = FairnessSpec(0.3)
+        targets = _spy_targets(monkeypatch)
+        p = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10], cfg))[0]
+        assert targets[:2] == [cfg.v_limit, 1.0 + 0.125 * (cfg.v_limit - 1.0)]
+        assert targets[-1] == cfg.v_limit
+        want, _ = _dual_solve((1, 1, 1), spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def test_newly_emptied_station_recomputes_the_start(self, monkeypatch):
         # the hint's gradient was taken with the emptied station's power in
@@ -417,17 +470,6 @@ class TestWarmChain:
         for a, b in zip(p, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
-    def test_outer_iteration_from_an_unpowered_hint(self, monkeypatch):
-        cfg, spec, hint, x = self._newly_occupied()
-        monkeypatch.setattr(allocator, "_shooting_phase", lambda *args: None)
-        p, v_n, grad = _binding_solve(x, spec, cfg, hint)
-        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
-        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
-        assert abs(slack) <= 1e-9
-        want, _ = _dual_solve(x, spec, cfg)
-        for a, b in zip(p, want):
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
-
 
 
 class TestColdStart:
@@ -452,17 +494,28 @@ class TestColdStart:
         # one gradient on the seed starts the shot, one on the answer ends it
         assert gradients == [seed, p]
 
-    @pytest.mark.parametrize("x,alpha,cfg", CASES)
-    def test_outer_iteration_from_the_linearized_seed(self, monkeypatch, x, alpha, cfg):
-        spec = FairnessSpec(alpha)
-        monkeypatch.setattr(allocator, "_shooting_phase", lambda *args: None)
-        p, v_n, grad = _binding_solve(x, spec, cfg)
-        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
-        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
-        assert abs(slack) <= 1e-9
-        want, _ = _dual_solve(x, spec, cfg)
-        for a, b in zip(p, want):
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+
+class TestHardMix:
+    """The seeded stress mix of `oracles.hard_allocation_cases`: delta up to
+    1/2, alpha 0.25 to 4, sparse, geometric and heavy occupancies."""
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_every_cold_solve_settles(self, monkeypatch, seed):
+        shots = _spy_shooting(monkeypatch)
+        solved = 0
+        for x, alpha, cfg in hard_allocation_cases(seed, 1700):
+            if cfg.n_stations > 80:
+                continue
+            p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)
+            assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+            # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
+            ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
+            assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+            solved += 1
+        assert solved > 1300
+        assert None not in shots
+
 
 class TestTinyAlpha:
     """At alpha near 0 the weights' powers w^(-1/alpha) leave the doubles;
@@ -484,7 +537,7 @@ class TestTinyAlpha:
 
     @pytest.mark.parametrize("r", [1.0, 0.1])
     def test_distflow(self, r):
-        # r = 1: the direction underflows in the outer iteration; r = 0.1:
+        # r = 1: the zero-load start's powers leave the doubles; r = 0.1:
         # w < 1, so the closed-form seed overflows
         cfg = NetworkConfig(3, r, 0.1)
         with pytest.raises(AllocationError, match="alpha = 0.001"):
