@@ -274,8 +274,8 @@ def _damped_shot(
     converges.  Converged once |V_N - target| < 1e-12 target and |costate
     ratio| < f2_tol, or once a halved step no longer moves the unknowns.
     Returns (converged, powers, V_N, costate ratio) of the last valid sweep
-    (nan if none), or None where g gives no start; pow in the start may
-    raise OverflowError or ZeroDivisionError.
+    (nan if none), or None where g gives no start or the start's powers
+    leave the floats.
     """
     g0 = grad[0]
     if not (math.isfinite(v_n) and g0 > 0.0):
@@ -290,7 +290,10 @@ def _damped_shot(
         if not gj > 0.0:
             return None
         lift += gj * p[j]
-        slope += gj * counts[j] * (gj / g0) ** -inv_alpha
+        try:
+            slope += gj * counts[j] * (gj / g0) ** -inv_alpha
+        except (OverflowError, ZeroDivisionError):
+            return None
     if not (lift > 0.0 and 0.0 < slope / lift < math.inf):
         return None
     ell = math.log(slope / lift) / inv_alpha
@@ -356,13 +359,14 @@ def _shooting_phase(
 ) -> _Solution:
     """Costate shooting from start powers p, with V_N and gradient g on p.
 
-    One `_damped_shot` runs from p.  Should it give up, or p give no start,
-    a continuation runs in the headroom, v_t = 1 + t (v_limit - 1), from
-    zero load, where g_j = r (N - j), at t = 1/8 (Deuflhard, ch. 5): each
-    step a damped shot from the last converged powers, t's step doubling on
-    success and halving on failure.  Returns (powers, V_N, gradient), with
-    |slack| <= 1e-9 in squared-voltage units.  Raises `_range_error` where
-    the zero-load start leaves the floats, and AllocationError with the
+    One `_damped_shot` runs from p.  Should it give up, or p give it no
+    start (its start powers out of the floats included), a continuation
+    runs in the headroom, v_t = 1 + t (v_limit - 1), from zero load, where
+    g_j = r (N - j), at t = 1/8 (Deuflhard, ch. 5): each step a damped
+    shot from the last converged powers, t's step doubling on success and
+    halving on failure.  Returns (powers, V_N, gradient), with |slack| <=
+    1e-9 in squared-voltage units.  Raises `_range_error` where the
+    zero-load costate gives no start either, and AllocationError with the
     last (V_N - v_limit, costate ratio) and t once t's step is below 2^-12.
     """
     n = len(counts)
@@ -372,10 +376,7 @@ def _shooting_phase(
     # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
     # cancellation; its tolerance follows that floor
     f2_tol = 4e-15 * max(n * n, 100)
-    try:
-        shot = _damped_shot(counts, active, inv_alpha, r, v_limit, p, v_n, grad, f2_tol)
-    except (OverflowError, ZeroDivisionError):
-        shot = None
+    shot = _damped_shot(counts, active, inv_alpha, r, v_limit, p, v_n, grad, f2_tol)
     t = 1.0
     if shot is None or not shot[0]:
         p, v_n, grad = [0.0] * n, 1.0, [r * (n - j) for j in range(n)]
@@ -383,10 +384,7 @@ def _shooting_phase(
         while t < 1.0:
             t_next = min(t + step, 1.0)
             target = v_limit if t_next == 1.0 else 1.0 + t_next * (v_limit - 1.0)
-            try:
-                shot = _damped_shot(counts, active, inv_alpha, r, target, p, v_n, grad, f2_tol)
-            except (OverflowError, ZeroDivisionError):
-                shot = None
+            shot = _damped_shot(counts, active, inv_alpha, r, target, p, v_n, grad, f2_tol)
             if shot is None and t == 0.0:
                 raise _range_error(spec.alpha)
             if shot is not None and shot[0]:

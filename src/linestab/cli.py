@@ -3,12 +3,14 @@
 Each subcommand evaluates one family of quantities and emits CSV: a header
 row, comma separators, '.' decimal point, floats at 15 significant digits,
 independent of locale.  With --out the CSV goes to a file and a JSON run
-manifest is written next to it (<out>.manifest.json) recording the command,
-every flag the command parsed (defaults included, unset optional ones
-left out), the seed and the tool version; re-running a manifest
-(`manifest_to_argv`) reproduces the CSV byte for byte.  Input checks
-live in the library, whose ValueError maps to exit 2.  Without --out the
-CSV goes to stdout and no manifest is written.
+manifest is written next to it (<out>.manifest.json) with three keys:
+the command, its parameters (every flag the command parsed bar --out,
+defaults included, unset optional ones left out) and the tool version.
+Running the command with `--key value` for each parameter, and a new
+--out, reproduces the CSV byte for byte.  Only `simulate` is random; it
+takes --seed (default 0).  Input checks live in the library, whose
+ValueError maps to exit 2.  Without --out the CSV goes to stdout and no
+manifest is written.
 
 Exit codes: 0 success, 2 flag validation, 3 solver failure, 4 simulation
 abort.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,54 +39,12 @@ from .stability import (
     ratio_P,
 )
 
-__all__ = ["RunManifest", "build_parser", "main", "manifest_to_argv"]
+__all__ = ["build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_SIMULATION = 4
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar: enough to re-run a command exactly."""
-
-    command: str
-    parameters: dict[str, str]
-    output_path: str
-    tool_version: str
-    seed: "int | None"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        raw = json.loads(text)
-        return cls(
-            command=raw["command"],
-            parameters=dict(raw["parameters"]),
-            output_path=raw["output_path"],
-            tool_version=raw["tool_version"],
-            seed=raw["seed"],
-        )
-
-
-def manifest_to_argv(manifest: RunManifest, out: "str | None" = None) -> list[str]:
-    """Rebuild the argv that reproduces a manifest's output.
-
-    ``out`` overrides the recorded output path (pass a scratch location to
-    compare bytes without clobbering the original).
-    """
-    argv = [manifest.command]
-    for key, value in manifest.parameters.items():
-        argv.extend([f"--{key}", value])
-    target = manifest.output_path if out is None else out
-    if target:
-        argv.extend(["--out", target])
-    if manifest.seed is not None:
-        argv.extend(["--seed", str(manifest.seed)])
-    return argv
 
 
 def _fmt(value) -> str:
@@ -114,38 +73,27 @@ def _write_output(
     parameters = {
         key.replace("_", "-"): _param(value)
         for key, value in vars(args).items()
-        if key not in ("command", "func", "out", "seed") and value is not None
+        if key not in ("command", "func", "out") and value is not None
     }
-    manifest = RunManifest(
-        command=args.command,
-        parameters=parameters,
-        output_path=str(out),
-        tool_version=__version__,
-        seed=args.seed,
-    )
-    Path(str(out) + ".manifest.json").write_text(
-        manifest.to_json() + "\n", encoding="ascii", newline=""
+    manifest = {"command": args.command, "parameters": parameters, "tool_version": __version__}
+    Path(f"{out}.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii", newline=""
     )
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty float list {text!r}")
-    return values
+def _list_of(kind: type, name: str):
+    """Parser of a comma-separated list of ``kind``, named ``name`` in errors."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} list {text!r}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {name} list {text!r}")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
-    return values
+    return parse
 
 
 # ---------------------------------------------------------------- commands
@@ -244,7 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model=model,
         arrival_rate=lam_base,
         horizon=1.0,  # the probe stretches it to fit --events
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         sample_interval=1.0 / 512.0,
     )
     probe = stability_probe(
@@ -300,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write CSV here (plus <out>.manifest.json)")
-    common.add_argument("--seed", type=int, help="RNG seed for stochastic commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", parents=[common], help="critical arrival rates")
@@ -315,12 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "newton", parents=[common], help="recover scaled loads from forward targets"
     )
-    p.add_argument("--a", type=_float_list, required=True, help="scaled loads, e.g. 0.01,0.05")
-    p.add_argument("--n", type=_int_list, required=True, help="feeder sizes, e.g. 10,100")
+    p.add_argument(
+        "--a", type=_list_of(float, "float"), required=True, help="scaled loads, e.g. 0.01,0.05"
+    )
+    p.add_argument(
+        "--n", type=_list_of(int, "integer"), required=True, help="feeder sizes, e.g. 10,100"
+    )
     p.set_defaults(func=_cmd_newton)
 
     p = sub.add_parser("ratio", parents=[common], help="Distflow/linearized threshold ratio")
-    p.add_argument("--delta", type=_float_list, help="explicit delta list")
+    p.add_argument("--delta", type=_list_of(float, "float"), help="explicit delta list")
     p.add_argument("--delta-min", type=float, default=0.01)
     p.add_argument("--delta-max", type=float, default=0.5)
     p.add_argument("--points", type=int, default=50)
@@ -328,11 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", parents=[common], help="discrete vs continuum voltage")
     p.add_argument("--a", type=float, required=True, help="scaled uniform load")
-    p.add_argument("--n", type=_int_list, required=True, help="feeder sizes")
+    p.add_argument("--n", type=_list_of(int, "integer"), required=True, help="feeder sizes")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("allocate", parents=[common], help="one fair allocation")
-    p.add_argument("--x", type=_int_list, required=True, help="queue lengths, far end first")
+    p.add_argument(
+        "--x", type=_list_of(int, "integer"), required=True, help="queue lengths, far end first"
+    )
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--delta", type=float, required=True)
@@ -347,12 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["lindist", "distflow"], default="lindist")
     p.add_argument(
         "--mult",
-        type=_float_list,
+        type=_list_of(float, "float"),
         default=[1.0],
         help="arrival-rate multipliers relative to the model threshold",
     )
     p.add_argument("--replications", type=int, default=5)
     p.add_argument("--events", type=int, default=20_000, help="expected events per run")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed, seed + k for replication k")
     p.set_defaults(func=_cmd_simulate)
 
     return parser

@@ -52,6 +52,16 @@ class PowerModel(enum.Enum):
     LINDIST = "lindist"
 
 
+def _check_resistance(r: float) -> None:
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"resistance must be positive, got {r!r}")
+
+
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and 0.0 < delta <= 0.5):
+        raise ValueError(f"delta must lie in (0, 0.5], got {delta!r}")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of the feeder.
@@ -69,10 +79,8 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n_stations, int) or self.n_stations < 1:
             raise ValueError(f"n_stations must be an integer >= 1, got {self.n_stations!r}")
-        if not (math.isfinite(self.resistance) and self.resistance > 0.0):
-            raise ValueError(f"resistance must be positive, got {self.resistance!r}")
-        if not (math.isfinite(self.delta) and 0.0 < self.delta <= 0.5):
-            raise ValueError(f"delta must lie in (0, 0.5], got {self.delta!r}")
+        _check_resistance(self.resistance)
+        _check_delta(self.delta)
 
     @property
     def v_limit(self) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .powerflow import NetworkConfig, distflow_sensitivity
+from .powerflow import NetworkConfig, _check_delta, _check_resistance, distflow_sensitivity
 from .specfun import erfi, f0
 
 __all__ = [
@@ -91,16 +91,6 @@ class ConvergenceReport:
     rel_err: float
 
 
-def _validate_delta(delta: float) -> None:
-    if not (math.isfinite(delta) and 0.0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 0.5], got {delta!r}")
-
-
-def _validate_r(r: float) -> None:
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
-
-
 def _log_v_limit(delta: float) -> float:
     # log(1 / (1 - delta)) without forming the quotient; accurate for tiny delta
     return -math.log1p(-delta)
@@ -123,8 +113,8 @@ def lambda_lin(cfg: NetworkConfig) -> float:
 
 def lambda_lin_critical(r: float, delta: float) -> float:
     """Scaled large-N limit of the linearized threshold, headroom / r."""
-    _validate_r(r)
-    _validate_delta(delta)
+    _check_resistance(r)
+    _check_delta(delta)
     return delta * (2.0 - delta) / ((1.0 - delta) ** 2 * r)
 
 
@@ -135,8 +125,8 @@ def lambda_dist_critical(r: float, delta: float) -> float:
     f0(sqrt(a)) = 1/(1 - delta), i.e. (pi/2) erfi(sqrt(log 1/(1-delta)))^2,
     divided by r.
     """
-    _validate_r(r)
-    _validate_delta(delta)
+    _check_resistance(r)
+    _check_delta(delta)
     return _continuum_root(delta) / r
 
 
@@ -150,7 +140,7 @@ def ratio_P(delta: float) -> float:
 
     Strictly decreasing on (0, 0.5], tending to 1 as delta -> 0.
     """
-    _validate_delta(delta)
+    _check_delta(delta)
     y = math.sqrt(_log_v_limit(delta))
     integral = 0.5 * math.sqrt(math.pi) * erfi(y)
     return 2.0 * (1.0 - delta) ** 2 * integral * integral / (delta * (2.0 - delta))
@@ -198,7 +188,7 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"the Distflow threshold needs an integer n >= 2, got {n!r}")
-    _validate_delta(delta)
+    _check_delta(delta)
 
     target = 1.0 / (1.0 - delta)
     a0 = _continuum_root(delta)

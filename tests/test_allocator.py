@@ -544,6 +544,14 @@ class TestTinyAlpha:
             alpha_fair_distflow([1, 1, 1], self.SPEC, cfg)
         assert alpha_fair_distflow([0, 0, 0], self.SPEC, cfg).p == (0.0,) * 3
 
+    @pytest.mark.parametrize(
+        "grad", [[1.0, 0.1], [1e300, 1e-300]], ids=["overflow", "zero-division"]
+    )
+    def test_damped_shot_without_a_start_in_the_floats_gives_none(self, grad):
+        # (g_1 / g_0)^(-1000) overflows, or g_1 / g_0 underflows to 0
+        args = ((1, 1), [0, 1], 1000.0, 1.0, 1.1, [0.0, 0.0], 1.0, grad, 4e-13)
+        assert allocator._damped_shot(*args) is None
+
 
 class TestShootValues:
     @settings(max_examples=1000)

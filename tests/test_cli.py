@@ -4,12 +4,13 @@ Commands run in-process through main(argv); stdout is parsed back as CSV
 and compared against the library calls the commands wrap.  Flag validation
 must exit 2, solver failures 3, simulation aborts 4, and the --out path
 must produce a manifest sidecar whose replay reproduces the CSV byte for
-byte.
+byte.  Only `simulate` takes --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import linestab.cli as cli
 from linestab import __version__
 from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
-from linestab.cli import RunManifest, build_parser, main, manifest_to_argv
+from linestab.cli import build_parser, main
 from linestab.powerflow import NetworkConfig
 from linestab.simulator import SimulationError
 from linestab.stability import (
@@ -247,6 +248,18 @@ def test_empty_list_flag_exits_2(capsys, argv):
     assert "empty" in _exits_2(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["newton", "--a", "0.1", "--n", "10,1.5"], "bad integer list '10,1.5'"),
+        (["ratio", "--delta", "0.1,x"], "bad float list '0.1,x'"),
+    ],
+    ids=["integer", "float"],
+)
+def test_bad_list_element_exits_2_naming_the_type(capsys, argv, message):
+    assert message in _exits_2(capsys, *argv)
+
+
 class TestSimulateCmd:
     def test_frontier_classifications(self, capsys):
         rows = _run(
@@ -300,7 +313,7 @@ class TestSimulateCmd:
 
 
 def _recorded_flags(argv: list[str]) -> set[str]:
-    """Flags of argv's subcommand, bar --out and --seed, that parse to a value."""
+    """Flags of argv's subcommand, bar --out, that parse to a value."""
     parser = build_parser()
     args = parser.parse_args(argv)
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -308,9 +321,22 @@ def _recorded_flags(argv: list[str]) -> set[str]:
         action.option_strings[0][2:]
         for action in sub.choices[argv[0]]._actions
         if action.option_strings
-        and action.dest not in ("help", "out", "seed")
+        and action.dest not in ("help", "out")
         and getattr(args, action.dest) is not None
     }
+
+
+def _manifest(out) -> dict:
+    return json.loads(out.with_name(f"{out.name}.manifest.json").read_text())
+
+
+def _replay(out, new_out) -> int:
+    """Run the command in out's manifest, each parameter as --key value, into new_out."""
+    manifest = _manifest(out)
+    argv = [manifest["command"]]
+    for key, value in manifest["parameters"].items():
+        argv.extend([f"--{key}", value])
+    return main([*argv, "--out", str(new_out)])
 
 
 class TestManifest:
@@ -332,12 +358,9 @@ class TestManifest:
     def test_replay_records_every_flag(self, tmp_path, capsys, argv):
         out1 = tmp_path / "run.csv"
         assert main([*argv, "--out", str(out1)]) == 0
-        manifest = RunManifest.from_json(
-            (tmp_path / "run.csv.manifest.json").read_text()
-        )
-        assert set(manifest.parameters) == _recorded_flags(argv)
+        assert set(_manifest(out1)["parameters"]) == _recorded_flags(argv)
         out2 = tmp_path / "replay.csv"
-        assert main(manifest_to_argv(manifest, out=str(out2))) == 0
+        assert _replay(out1, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_thresholds_replay_is_byte_identical(self, tmp_path, capsys):
@@ -345,16 +368,13 @@ class TestManifest:
         assert main(["thresholds", "--n", "10", "--delta", "0.05",
                      "--out", str(out1)]) == 0
         assert capsys.readouterr().out == ""  # CSV went to the file
-        manifest = RunManifest.from_json(
-            (tmp_path / "thresholds.csv.manifest.json").read_text()
-        )
-        assert manifest.command == "thresholds"
-        assert manifest.tool_version == __version__
-        assert manifest.seed is None
-        assert manifest.output_path == str(out1)
-        assert set(manifest.parameters) == {"n", "r", "delta", "model"}
+        manifest = _manifest(out1)
+        assert set(manifest) == {"command", "parameters", "tool_version"}
+        assert manifest["command"] == "thresholds"
+        assert manifest["tool_version"] == __version__
+        assert set(manifest["parameters"]) == {"n", "r", "delta", "model"}
         out2 = tmp_path / "replay.csv"
-        assert main(manifest_to_argv(manifest, out=str(out2))) == 0
+        assert _replay(out1, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_simulate_replay_reproduces_csv_and_trajectory(self, tmp_path, capsys):
@@ -369,20 +389,55 @@ class TestManifest:
         lines = traj1.read_text().strip().split("\n")
         assert lines[0] == "time,total_queue"
         assert len(lines) == 514  # header + 513 grid samples
-        manifest = RunManifest.from_json(
-            (tmp_path / "probe.csv.manifest.json").read_text()
-        )
-        assert manifest.seed == 3
+        assert _manifest(out1)["parameters"]["seed"] == "3"
         out2 = tmp_path / "replay.csv"
-        assert main(manifest_to_argv(manifest, out=str(out2))) == 0
+        assert _replay(out1, out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert traj1.read_bytes() == (tmp_path / "replay.csv.traj0.csv").read_bytes()
+
+    def test_simulate_seed_defaults_to_zero_and_replays(self, tmp_path, capsys):
+        out1 = tmp_path / "probe.csv"
+        assert main([
+            "simulate", "--n", "2", "--delta", "0.2", "--mult", "0.8",
+            "--replications", "1", "--events", "800", "--out", str(out1),
+        ]) == 0
+        assert _manifest(out1)["parameters"]["seed"] == "0"
+        out2 = tmp_path / "replay.csv"
+        assert _replay(out1, out2) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        traj1 = tmp_path / "probe.csv.traj0.csv"
+        assert traj1.read_bytes() == (tmp_path / "replay.csv.traj0.csv").read_bytes()
+
+    def test_manifest_bytes_do_not_depend_on_the_output_directory(self, tmp_path, capsys):
+        argv = ["allocate", "--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"]
+        texts = []
+        for sub in ("a", "a_much_longer_directory_name"):
+            (tmp_path / sub).mkdir()
+            out = tmp_path / sub / "run.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            texts.append((tmp_path / sub / "run.csv.manifest.json").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_no_files_written_without_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["ratio", "--delta", "0.1"]) == 0
         assert capsys.readouterr().out.startswith("delta,ratio\n")
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--n", "10", "--delta", "0.05"],
+        ["newton", "--a", "0.01", "--n", "10"],
+        ["ratio", "--delta", "0.1"],
+        ["converge", "--a", "0.05", "--n", "10"],
+        ["allocate", "--x", "1,2", "--delta", "0.2"],
+    ],
+    ids=["thresholds", "newton", "ratio", "converge", "allocate"],
+)
+def test_seed_is_only_a_simulate_flag(capsys, argv):
+    assert "--seed" in _exits_2(capsys, *argv, "--seed", "3")
 
 
 class TestCsvFormat:
