@@ -4,16 +4,19 @@ Vehicles arrive at each station as independent Poisson streams of rate
 lambda, bring unit-mean exponential energy demands, and leave when served.
 After *every* arrival or departure the allocator recomputes the fair power
 split for the new occupancy, so a station's departure rate is exactly its
-allocated power.  The chain is simulated with the Gillespie recipe: draw
-an exponential holding time at the total event rate, then pick the event
-in proportion to its rate.
+allocated power; Distflow splits are cached by occupancy, so a state the
+run has seen before costs a lookup.  The chain is simulated with the
+Gillespie recipe: draw an exponential holding time at the total event
+rate, then pick the event in proportion to its rate.
 
 Randomness comes from numpy's default_rng (PCG64), which is seedable and
 cheap to split: replication k of a probe runs on seed + k.  Fixing the
 seed fixes the whole trajectory.
 
-`stability_probe` wraps repeated runs at scaled arrival rates and applies
-the drift/excursion classification rule described in SimReport.
+A run either reaches its horizon and returns a SimReport, or raises
+SimulationError where the allocator fails.  `stability_probe` wraps
+repeated runs at scaled arrival rates and applies the drift/excursion
+classification rule described in SimReport.
 """
 
 from __future__ import annotations
@@ -90,9 +93,9 @@ class SimReport:
     sample, state *before* any event at the same instant).  drift_estimate
     is the least-squares slope of total_queue over the last half of the
     grid: near zero for a stable queue, close to the arrival surplus for an
-    unstable one.  per_station_mean is the time-average occupancy.  error
-    is None for a clean run; an aborted run keeps the samples gathered so
-    far and stores the reason.
+    unstable one.  per_station_mean is the time-average occupancy.  Only a
+    run that reached its horizon has a report; an aborted one raises
+    SimulationError.
     """
 
     time_grid: tuple[float, ...]
@@ -102,11 +105,10 @@ class SimReport:
     departures: int
     drift_estimate: float
     max_total_queue: int
-    error: "str | None" = None
 
 
 class SimulationError(RuntimeError):
-    """A probe replication aborted (allocator failure inside the run)."""
+    """A run aborted: the allocator failed on a state the run reached."""
 
 
 class Classification(enum.Enum):
@@ -131,31 +133,23 @@ class ProbeRow:
     reports: tuple[SimReport, ...] = ()
 
 
-def _normalize(x: Sequence[int]) -> tuple[int, ...]:
-    """Scale queue lengths by their gcd; fair splits are ray-invariant in x."""
-    g = math.gcd(*x)
-    if g <= 1:
-        return tuple(x)
-    return tuple(v // g for v in x)
-
-
 def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[float], float]]:
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
     Linearized allocations are a closed form and get evaluated inline.
-    Distflow allocations go through the binding solve; solved states are
-    cached under their gcd-normalized occupancy (the optimum only depends
-    on the ray through x), and cache misses warm-start from the last
-    solve's return, typically one vehicle away: its powers, and the V_N
-    and adjoint gradient it took on them, from which the solve shoots.
-    Either model raises AllocationError, naming alpha, where the powers of
-    its weights leave the doubles; an empty feeder draws no power.
+    Distflow allocations go through the binding solve.  Solved states are
+    cached under their occupancy, and the cache starts out holding the
+    empty feeder's zero split.  A miss warm-starts from the last solve's
+    return, typically one vehicle away: its powers, and the V_N and adjoint
+    gradient it took on them, from which the solve shoots.  A hit, the
+    empty feeder included, leaves that hint as it is.  Either model raises
+    AllocationError, naming alpha, where the powers of its weights leave
+    the doubles; an empty feeder draws no power.
     """
     net = cfg.network
     n = net.n_stations
     alpha = cfg.fairness.alpha
     inv_alpha = 1.0 / alpha
-    zeros = ([0.0] * n, 0.0)
 
     if cfg.model is PowerModel.LINDIST:
         weights = _lin_weights(net)
@@ -181,17 +175,15 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
 
         return solve_lin
 
-    cache: dict[tuple[int, ...], tuple[list[float], float]] = {}
+    cache: dict[tuple[int, ...], tuple[list[float], float]] = {(0,) * n: ([0.0] * n, 0.0)}
     hint = None  # the last _binding_solve return: powers, V_N, gradient
 
     def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
         nonlocal hint
-        key = _normalize(x)
+        key = tuple(x)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        if not any(key):
-            return zeros
         hint = _binding_solve(key, cfg.fairness, net, hint)
         p = list(hint[0])
         entry = (p, math.fsum(p))
@@ -203,7 +195,12 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
 
 
 def simulate(cfg: SimConfig) -> SimReport:
-    """Run one trajectory and sample it on the configured grid."""
+    """Run one trajectory and sample it on the configured grid.
+
+    Raises SimulationError, naming the time and the state, when the
+    allocator fails on a state the run reaches; the AllocationError is its
+    cause.
+    """
     n = cfg.network.n_stations
     lam = cfg.arrival_rate
     horizon = cfg.horizon
@@ -220,7 +217,6 @@ def simulate(cfg: SimConfig) -> SimReport:
     samples: list[int] = []
     next_idx = 0
     t = 0.0
-    error: "str | None" = None
 
     p, p_sum = solve(x)
     total_arrival = n * lam
@@ -265,16 +261,14 @@ def simulate(cfg: SimConfig) -> SimReport:
         try:
             p, p_sum = solve(x)
         except AllocationError as exc:
-            error = f"allocation failed at t = {t:.6g}, state {tuple(x)}: {exc}"
-            break
-    if error is None:
-        while next_idx < grid_count:
-            samples.append(total)
-            next_idx += 1
+            raise SimulationError(
+                f"allocation failed at t = {t:.6g}, state {tuple(x)}: {exc}"
+            ) from exc
+    while next_idx < grid_count:
+        samples.append(total)
+        next_idx += 1
 
     time_grid = tuple(i * interval for i in range(len(samples)))
-    elapsed = min(t, horizon) if error else horizon
-    denom = elapsed if elapsed > 0.0 else 1.0
     half = len(samples) // 2
     ts = np.asarray(time_grid[half:], dtype=float)
     qs = np.asarray(samples[half:], dtype=float)
@@ -282,12 +276,11 @@ def simulate(cfg: SimConfig) -> SimReport:
     return SimReport(
         time_grid=time_grid,
         total_queue=tuple(samples),
-        per_station_mean=tuple(v / denom for v in occupancy_time),
+        per_station_mean=tuple(v / horizon for v in occupancy_time),
         arrivals=arrivals,
         departures=departures,
         drift_estimate=drift,
         max_total_queue=max_total,
-        error=error,
     )
 
 
@@ -299,8 +292,8 @@ QUEUE_CAP_PER_STATION = 50.0
 def stability_probe(
     base: SimConfig,
     multipliers: Sequence[float],
-    replications: int = 5,
-    min_events: int = 100_000,
+    replications: int,
+    min_events: int,
 ) -> list[ProbeRow]:
     """Classify the feeder at several scalings of the base arrival rate.
 
@@ -313,6 +306,9 @@ def stability_probe(
     QUEUE_CAP_PER_STATION * N (kept as ProbeRow.q_cap); it votes unstable
     when the drift exceeds eps.  A strict majority either way decides;
     anything else is INCONCLUSIVE.
+
+    Raises SimulationError, prefixed with the replication and the
+    multiplier, when a run aborts; no row is returned then.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -336,19 +332,19 @@ def stability_probe(
         reports: list[SimReport] = []
         stable_votes = unstable_votes = 0
         for k in range(replications):
-            rep = simulate(
-                replace(
-                    base,
-                    arrival_rate=lam,
-                    horizon=horizon,
-                    seed=base.seed + k,
-                    sample_interval=horizon / 512.0,
-                )
+            run = replace(
+                base,
+                arrival_rate=lam,
+                horizon=horizon,
+                seed=base.seed + k,
+                sample_interval=horizon / 512.0,
             )
-            if rep.error is not None:
+            try:
+                rep = simulate(run)
+            except SimulationError as exc:
                 raise SimulationError(
-                    f"replication {k} at multiplier {m:g} aborted: {rep.error}"
-                )
+                    f"replication {k} at multiplier {m:g} aborted: {exc}"
+                ) from exc
             drifts.append(rep.drift_estimate)
             peaks.append(rep.max_total_queue)
             reports.append(rep)

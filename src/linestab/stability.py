@@ -61,6 +61,8 @@ class NewtonTrace:
     V_N(iterates[j]) - 1/(1 - delta), same length.  When the iteration
     stops at the rounding floor, the last entry repeats the earlier
     iterate with the smallest |residual|, which is the one accepted.
+    `newton_solve_a` returns a trace only for an accepted root; a failed
+    run's trace rides on its NewtonFailure.
     """
 
     a0: float
@@ -68,7 +70,6 @@ class NewtonTrace:
     residuals: tuple[float, ...]
     a_final: float
     iterations: int
-    converged: bool
 
 
 class NewtonFailure(RuntimeError):
@@ -242,36 +243,26 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
             break
     if len(residuals) < len(iterates):
         residuals.append(distflow_sensitivity(a_cur, n)[0] - target)
-    headroom = delta / (1.0 - delta)
-    if converged and abs(residuals[-1]) > 1e-6 * headroom:
-        raise NewtonFailure(
-            f"accepted residual {residuals[-1]:.3g} exceeds 1e-6 of the headroom "
-            f"delta/(1 - delta) = {headroom:.3g} (n = {n}, delta = {delta:g})",
-            _make_trace(a0, iterates, residuals, converged=False),
-        )
-    trace = _make_trace(a0, iterates, residuals, converged)
-    if not converged:
-        raise NewtonFailure(
-            f"no convergence within {ITERATION_CAP} iterations (n = {n}, delta = {delta:g})",
-            trace,
-        )
-    return trace
-
-
-def _make_trace(
-    a0: float,
-    iterates: list[float],
-    residuals: list[float],
-    converged: bool,
-) -> NewtonTrace:
-    return NewtonTrace(
+    trace = NewtonTrace(
         a0=a0,
         iterates=tuple(iterates),
         residuals=tuple(residuals),
         a_final=iterates[-1],
         iterations=len(iterates) - 1,
-        converged=converged,
     )
+    if not converged:
+        raise NewtonFailure(
+            f"no convergence within {ITERATION_CAP} iterations (n = {n}, delta = {delta:g})",
+            trace,
+        )
+    headroom = delta / (1.0 - delta)
+    if abs(residuals[-1]) > 1e-6 * headroom:
+        raise NewtonFailure(
+            f"accepted residual {residuals[-1]:.3g} exceeds 1e-6 of the headroom "
+            f"delta/(1 - delta) = {headroom:.3g} (n = {n}, delta = {delta:g})",
+            trace,
+        )
+    return trace
 
 
 def lambda_dist(cfg: NetworkConfig) -> float:

@@ -74,7 +74,6 @@ class TestNewton:
             v_target, _ = distflow_sensitivity(a_true, n)
             delta = 1.0 - 1.0 / v_target
             trace = newton_solve_a(n, delta)
-            assert trace.converged
             assert trace.a_final == pytest.approx(a_true, rel=1e-9)
 
     def test_trace_is_internally_consistent(self):
@@ -107,14 +106,12 @@ class TestNewton:
         upper = 2.0 * 10 / 9.0
         assert trace.a0 > upper
         assert trace.iterates[0] < upper
-        assert trace.converged
         assert abs(trace.residuals[-1]) <= 1e-10
 
     def test_half_delta_long_feeder_lands_on_the_cap(self):
         # n = 400, delta = 1/2: the root 2.29 lies well past 2n/(n-1) =
         # 2.005, where the start is capped; nothing bounds the iterates there
         trace = newton_solve_a(400, 0.5)
-        assert trace.converged
         assert trace.a_final > 2.0 * 400 / 399.0
         assert abs(trace.residuals[-1]) <= 1e-12
         cfg = NetworkConfig(400, 1.0, 0.5)
@@ -129,7 +126,6 @@ class TestNewton:
             newton_solve_a(10, 0.3)
         trace = err.value.trace
         assert isinstance(trace, NewtonTrace)
-        assert not trace.converged
         assert trace.iterations == 1
 
     @pytest.mark.parametrize(
@@ -158,7 +154,6 @@ class TestThresholdRoot:
         # the literal recursion's V_N is only good to ~5e-10 at N = 3e4, and
         # the root it gives to ~1.2e-7; the iteration must stop there
         trace = newton_solve_a(30_000, 0.01)
-        assert trace.converged
         assert trace.a_final == pytest.approx(threshold_root_mp(30_000, 0.01), rel=2e-7)
 
     def test_walks_a_flat_step_of_the_rounded_staircase(self):
@@ -172,7 +167,6 @@ class TestThresholdRoot:
 
     def test_largest_feeder_converges(self):
         trace = newton_solve_a(100_000, 0.1)
-        assert trace.converged
         assert abs(trace.residuals[-1]) <= 1e-10
 
     @given(
@@ -184,7 +178,6 @@ class TestThresholdRoot:
         target = 1.0 / (1.0 - delta)
         trace = newton_solve_a(n, delta)
         a = trace.a_final
-        assert trace.converged
         assert abs(distflow_sensitivity(a, n)[0] - target) <= 1e-9
         assert distflow_sensitivity(a * (1.0 - 1e-8), n)[0] < target
         assert distflow_sensitivity(a * (1.0 + 1e-8), n)[0] > target
@@ -206,7 +199,6 @@ class TestSafeguards:
             return 2.0 + 0.1 * math.atan(x), n * n * 0.3 / (1.0 + x * x)
 
         trace = self._solve(monkeypatch, fake, 10, 0.5)
-        assert trace.converged
         assert trace.a_final == pytest.approx(1.0, rel=1e-12)
         assert all(0.0 < a <= trace.iterates[0] for a in trace.iterates)
 
@@ -221,7 +213,6 @@ class TestSafeguards:
             return target + (k + 0.3) * height, n * n * height / width
 
         trace = self._solve(monkeypatch, fake, 10, 0.1)
-        assert trace.converged
         assert trace.iterations <= 8
         best = min(trace.residuals[:-1], key=abs)
         assert trace.residuals[-1] == best
@@ -233,7 +224,6 @@ class TestSafeguards:
         # (here the 4-ulp bracket) ends the run
         monkeypatch.setattr(stability, "STEP_TOL", 1e-300)
         trace = newton_solve_a(50, 0.2)
-        assert trace.converged
         assert abs(trace.residuals[-1]) == min(abs(r) for r in trace.residuals)
 
 
