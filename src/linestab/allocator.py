@@ -71,11 +71,12 @@ class FairnessSpec:
 
 
 class AllocationError(RuntimeError):
-    """The Distflow solve failed to settle on the constraint; carries diagnostics."""
+    """No fair split; the message says why.
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    It names alpha where the powers of the weights leave the doubles, or
+    the last (V_N - v_limit, costate ratio) pair and the continuation's t
+    where the Distflow solve does not settle on the constraint.
+    """
 
 
 def _as_counts(x: Sequence[int]) -> tuple[int, ...]:
@@ -94,8 +95,7 @@ def _lin_weights(cfg: NetworkConfig) -> list[float]:
 
 def _range_error(alpha: float) -> AllocationError:
     # the fair split's powers would come out zero, infinite or undefined
-    msg = f"alpha = {alpha!r} takes the weights w^(-1/alpha) out of double range"
-    return AllocationError(msg, {"alpha": alpha})
+    return AllocationError(f"alpha = {alpha!r} takes the weights w^(-1/alpha) out of double range")
 
 
 def alpha_fair_lindist(
@@ -366,8 +366,10 @@ def _shooting_phase(
     shot from the last converged powers, t's step doubling on success and
     halving on failure.  Returns (powers, V_N, gradient), with |slack| <=
     1e-9 in squared-voltage units.  Raises `_range_error` where the
-    zero-load costate gives no start either, and AllocationError with the
-    last (V_N - v_limit, costate ratio) and t once t's step is below 2^-12.
+    zero-load costate gives no start either, and else AllocationError whose
+    message names the last (V_N - v_limit, costate ratio) pair and t, the
+    continuation's reach (1 if it never ran), once t's step is below 2^-12
+    or the settled powers miss the constraint.
     """
     n = len(counts)
     inv_alpha = 1.0 / spec.alpha
@@ -403,8 +405,8 @@ def _shooting_phase(
             return tuple(p), v_n, grad
     v_n, f2 = (math.nan, math.nan) if shot is None else shot[2:]
     raise AllocationError(
-        "costate shooting did not settle on the constraint",
-        {"state": counts, "alpha": spec.alpha, "residual": (v_n - v_limit, f2), "t": t},
+        "costate shooting did not settle on the constraint: last (V_N - v_limit, "
+        f"costate ratio) = ({v_n - v_limit:.6g}, {f2:.6g}), continuation at t = {t:g}"
     )
 
 
@@ -453,7 +455,8 @@ def alpha_fair_distflow(
     """Alpha-fair optimum under the full Distflow constraint.
 
     The constraint binds to within 1e-9 in squared-voltage units.  Raises
-    AllocationError with diagnostics when the solve fails to settle.
+    AllocationError, naming its last residuals, when the solve fails to
+    settle.
     """
     counts = _as_counts(x)
     if len(counts) != cfg.n_stations:

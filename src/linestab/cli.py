@@ -145,11 +145,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     if args.delta is not None:
         grid = args.delta
     else:
-        lo, hi, count = args.delta_min, args.delta_max, args.points
-        if not 0.0 < lo <= hi <= 0.5:
-            raise ValueError("--delta-min and --delta-max must satisfy 0 < min <= max <= 0.5")
-        if count < 2:
-            raise ValueError("--points must be >= 2")
+        lo, hi, count = 0.01, 0.5, 50
         step = (hi - lo) / (count - 1)
         grid = [lo + i * step for i in range(count - 1)]
         grid.append(hi)  # endpoint exact, no accumulated rounding
@@ -271,10 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_newton)
 
     p = sub.add_parser("ratio", parents=[common], help="Distflow/linearized threshold ratio")
-    p.add_argument("--delta", type=_list_of(float, "float"), help="explicit delta list")
-    p.add_argument("--delta-min", type=float, default=0.01)
-    p.add_argument("--delta-max", type=float, default=0.5)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument(
+        "--delta",
+        type=_list_of(float, "float"),
+        help="explicit delta list (default: 50 points from 0.01 to 0.5)",
+    )
     p.set_defaults(func=_cmd_ratio)
 
     p = sub.add_parser("converge", parents=[common], help="discrete vs continuum voltage")

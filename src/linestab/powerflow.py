@@ -110,12 +110,6 @@ class PowerAllocation:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"powers must be finite and nonnegative, got {v!r}")
 
-    def __len__(self) -> int:
-        return len(self.p)
-
-    def __iter__(self):
-        return iter(self.p)
-
 
 def _as_powers(p: "PowerAllocation | Sequence[float]") -> tuple[float, ...]:
     if isinstance(p, PowerAllocation):

@@ -93,14 +93,14 @@ class SimReport:
     sample, state *before* any event at the same instant).  drift_estimate
     is the least-squares slope of total_queue over the last half of the
     grid: near zero for a stable queue, close to the arrival surplus for an
-    unstable one.  per_station_mean is the time-average occupancy.  Only a
-    run that reached its horizon has a report; an aborted one raises
-    SimulationError.
+    unstable one.  mean_total_queue is the time average of the vehicle
+    count over [0, horizon].  Only a run that reached its horizon has a
+    report; an aborted one raises SimulationError.
     """
 
     time_grid: tuple[float, ...]
     total_queue: tuple[int, ...]
-    per_station_mean: tuple[float, ...]
+    mean_total_queue: float
     arrivals: int
     departures: int
     drift_estimate: float
@@ -119,7 +119,11 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeRow:
-    """Verdict for one arrival-rate multiplier of a stability probe."""
+    """Verdict for one arrival-rate multiplier of a stability probe.
+
+    drifts, max_queues and reports hold one entry per replication, in
+    seed order.
+    """
 
     multiplier: float
     arrival_rate: float
@@ -128,9 +132,7 @@ class ProbeRow:
     max_queues: tuple[int, ...]
     stable_votes: int
     unstable_votes: int
-    eps_drift: float
-    q_cap: float
-    reports: tuple[SimReport, ...] = ()
+    reports: tuple[SimReport, ...]
 
 
 def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[float], float]]:
@@ -138,13 +140,15 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
 
     Linearized allocations are a closed form and get evaluated inline.
     Distflow allocations go through the binding solve.  Solved states are
-    cached under their occupancy, and the cache starts out holding the
-    empty feeder's zero split.  A miss warm-starts from the last solve's
-    return, typically one vehicle away: its powers, and the V_N and adjoint
-    gradient it took on them, from which the solve shoots.  A hit, the
-    empty feeder included, leaves that hint as it is.  Either model raises
-    AllocationError, naming alpha, where the powers of its weights leave
-    the doubles; an empty feeder draws no power.
+    cached under their occupancy, the first 200,000 of them whether or not
+    they recur, and the cache starts out holding the empty feeder's zero
+    split.  A miss warm-starts from the last solve's return, typically one
+    vehicle away: its powers, and the V_N and adjoint gradient it took on
+    them, from which the solve shoots.  A hit, the empty feeder included,
+    leaves that hint as it is.  Either model raises AllocationError,
+    naming alpha, where the powers of its weights leave the doubles, and
+    Distflow one naming its last residuals where the solve does not
+    settle; an empty feeder draws no power.
     """
     net = cfg.network
     n = net.n_stations
@@ -212,7 +216,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     total = 0
     max_total = 0
     arrivals = departures = 0
-    occupancy_time = [0.0] * n
+    area = 0.0  # integral of the vehicle count over time
     grid_count = int(horizon / interval) + 1
     samples: list[int] = []
     next_idx = 0
@@ -229,10 +233,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         while next_idx < grid_count and next_idx * interval < t_next:
             samples.append(total)
             next_idx += 1
-        span = step_end - t
-        for j in range(n):
-            if x[j]:
-                occupancy_time[j] += x[j] * span
+        area += total * (step_end - t)
         if t_next >= horizon:
             break
         u = rng.random() * rate
@@ -276,7 +277,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     return SimReport(
         time_grid=time_grid,
         total_queue=tuple(samples),
-        per_station_mean=tuple(v / horizon for v in occupancy_time),
+        mean_total_queue=area / horizon,
         arrivals=arrivals,
         departures=departures,
         drift_estimate=drift,
@@ -299,13 +300,13 @@ def stability_probe(
 
     For every multiplier m, runs `replications` independent trajectories at
     rate m * base.arrival_rate (seeds base.seed + k) and long enough to see
-    at least min_events events in expectation; each run is sampled on 512
-    grid points regardless of base.sample_interval.  A run votes stable
-    when its drift stays below eps = 0.05 * N * lambda (kept as
-    ProbeRow.eps_drift) *and* its queue peak stays below
-    QUEUE_CAP_PER_STATION * N (kept as ProbeRow.q_cap); it votes unstable
-    when the drift exceeds eps.  A strict majority either way decides;
-    anything else is INCONCLUSIVE.
+    at least min_events events in expectation; each run is sampled on 513
+    grid points, 512 intervals over its horizon, regardless of
+    base.sample_interval.  A run votes stable when its drift stays below
+    eps = 0.05 * N * lambda *and* its queue peak stays below
+    QUEUE_CAP_PER_STATION * N; it votes unstable when the drift exceeds
+    eps.  A strict majority either way decides; anything else is
+    INCONCLUSIVE.
 
     Raises SimulationError, prefixed with the replication and the
     multiplier, when a run aborts; no row is returned then.
@@ -367,8 +368,6 @@ def stability_probe(
                 max_queues=tuple(peaks),
                 stable_votes=stable_votes,
                 unstable_votes=unstable_votes,
-                eps_drift=eps,
-                q_cap=cap,
                 reports=tuple(reports),
             )
         )

@@ -425,7 +425,7 @@ class TestSingleStationQueue:
                 sample_interval=horizon / 512.0,
             )
         )
-        mean = rep.per_station_mean[0]
+        mean = rep.mean_total_queue
         elapsed = time.perf_counter() - t0
         ok = abs(mean - 1.0) <= 0.25
         report(9, "single station queue mean", ok, f"mean {mean:.3f}, {elapsed:.1f}s")

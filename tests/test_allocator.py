@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -271,26 +272,22 @@ class TestDistflowAllocator:
         for a, b in zip(p, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
-    def test_a_shot_that_gives_up_raises_with_its_last_residual(self, monkeypatch, capsys):
-        # a sweep whose V_N reads one too high never meets any target
-        shoot = allocator._shoot
-
-        def off_by_one(*args):
-            out = shoot(*args)
-            return None if out is None else (out[0], out[1] + 1.0, *out[2:])
-
-        monkeypatch.setattr(allocator, "_shoot", off_by_one)
+    def test_a_shot_that_gives_up_raises_with_its_last_residual(self, monkeypatch):
+        _off_by_one_shots(monkeypatch)
         with pytest.raises(AllocationError) as info:
             alpha_fair_distflow([1, 2, 3], FairnessSpec(2.0), NetworkConfig(3, 1.0, 0.2))
-        diag = info.value.diagnostics
-        assert diag["state"] == (1, 2, 3) and diag["alpha"] == 2.0
         # the continuation never left zero load, and V_N stayed past the cap
-        assert diag["t"] == 0.0
-        f1, f2 = diag["residual"]
+        f1, f2 = _last_residual(str(info.value))
         assert f1 > 0.0 and math.isfinite(f2)
+
+    def test_a_shot_that_gives_up_names_its_residual_on_stderr(self, monkeypatch, capsys):
+        _off_by_one_shots(monkeypatch)
         argv = ["allocate", "--x", "1,2,3", "--delta", "0.2", "--alpha", "2", "--model", "distflow"]
         assert main(argv) == 3
-        assert "solver failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "solver failure" in err
+        f1, f2 = _last_residual(err)
+        assert f1 > 0.0 and math.isfinite(f2)
 
     @pytest.mark.parametrize("r,delta", [(1.0, 0.2), (0.3, 0.5), (2.5, 0.01)])
     def test_single_station_takes_the_whole_headroom(self, monkeypatch, r, delta):
@@ -310,6 +307,27 @@ class TestDistflowAllocator:
             alpha_fair_distflow([1], FairnessSpec(1.0), cfg)
         with pytest.raises(ValueError):
             alpha_fair_distflow([1, -1], FairnessSpec(1.0), cfg)
+
+
+def _off_by_one_shots(monkeypatch) -> None:
+    # a sweep whose V_N reads one too high never meets any target
+    shoot = allocator._shoot
+
+    def off_by_one(*args):
+        out = shoot(*args)
+        return None if out is None else (out[0], out[1] + 1.0, *out[2:])
+
+    monkeypatch.setattr(allocator, "_shoot", off_by_one)
+
+
+def _last_residual(message: str) -> tuple[float, float]:
+    """The (V_N - v_limit, costate ratio) pair of a failed shot at t = 0."""
+    found = re.search(
+        r"\(V_N - v_limit, costate ratio\) = \((\S+), (\S+)\), continuation at t = 0$",
+        message.strip(),
+    )
+    assert found, message
+    return float(found[1]), float(found[2])
 
 
 def _hint(p, cfg):

@@ -154,25 +154,17 @@ class TestRatioCmd:
             assert float(row[1]) == pytest.approx(want, abs=5e-5)
             assert float(row[1]) == pytest.approx(ratio_P(delta), rel=1e-14)
 
-    def test_grid_endpoints_land_exactly(self, capsys):
-        rows = _run(capsys, "ratio", "--delta-min", "0.05", "--delta-max", "0.3",
-                    "--points", "6")
-        assert len(rows) == 7
-        assert float(rows[1][0]) == 0.05
-        assert float(rows[-1][0]) == 0.3
-        ratios = [float(r[1]) for r in rows[1:]]
-        assert all(a > b for a, b in zip(ratios, ratios[1:]))
-
     def test_default_grid_is_monotone(self, capsys):
         rows = _run(capsys, "ratio")
         assert len(rows) == 51
+        # endpoints exact, no accumulated rounding
+        assert float(rows[1][0]) == 0.01
+        assert float(rows[-1][0]) == 0.5
         ratios = [float(r[1]) for r in rows[1:]]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
     def test_rejects_bad_grids(self, capsys):
         _exits_2(capsys, "ratio", "--delta", "0.6")
-        _exits_2(capsys, "ratio", "--delta-min", "0.4", "--delta-max", "0.2")
-        _exits_2(capsys, "ratio", "--points", "1")
 
 
 class TestConvergeCmd:
@@ -346,7 +338,7 @@ class TestManifest:
             ["thresholds", "--n", "10", "--delta", "0.05", "--model", "distflow"],
             ["newton", "--a", "0.01,0.1", "--n", "10,100"],
             ["ratio", "--delta", "0.01,0.1"],
-            ["ratio", "--delta-min", "0.05", "--delta-max", "0.3", "--points", "6"],
+            ["ratio"],
             ["converge", "--a", "0.05", "--n", "10,100"],
             ["allocate", "--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"],
             ["simulate", "--n", "2", "--delta", "0.2", "--mult", "0.8",

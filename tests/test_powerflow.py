@@ -73,11 +73,6 @@ class TestNetworkConfig:
 
 
 class TestPowerAllocation:
-    def test_len_and_iter(self):
-        alloc = PowerAllocation(p=(0.5, 0.25))
-        assert len(alloc) == 2
-        assert list(alloc) == [0.5, 0.25]
-
     @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
     def test_rejects_bad_entries(self, bad):
         with pytest.raises(ValueError):

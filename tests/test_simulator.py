@@ -20,6 +20,7 @@ import linestab.simulator as simulator
 from linestab.allocator import AllocationError, FairnessSpec, alpha_fair_lindist
 from linestab.powerflow import NetworkConfig, PowerModel, feasible
 from linestab.simulator import (
+    QUEUE_CAP_PER_STATION,
     Classification,
     SimConfig,
     SimulationError,
@@ -91,7 +92,7 @@ class TestFrozenFeeder:
         assert set(rep.total_queue) == {0}
         assert rep.max_total_queue == 0
         assert rep.drift_estimate == 0.0
-        assert rep.per_station_mean == (0.0, 0.0, 0.0)
+        assert rep.mean_total_queue == 0.0
         assert len(rep.time_grid) == 513
         assert rep.time_grid == tuple(8.0 * i for i in range(513))
 
@@ -150,8 +151,7 @@ class TestFlowConservation:
         assert all(q >= 0 for q in rep.total_queue)
         assert rep.max_total_queue >= max(rep.total_queue)
         assert len(rep.time_grid) == len(rep.total_queue)
-        assert all(m >= 0.0 for m in rep.per_station_mean)
-        assert len(rep.per_station_mean) == net.n_stations
+        assert 0.0 <= rep.mean_total_queue <= rep.max_total_queue
 
 
 class TestEventFeasibility:
@@ -303,7 +303,7 @@ class TestSingleStationOracle:
                 seed=2024,
             )
         )
-        assert rep.per_station_mean[0] == pytest.approx(1.0, abs=0.25)
+        assert rep.mean_total_queue == pytest.approx(1.0, abs=0.25)
 
     def test_stable_station_has_negligible_drift(self):
         lam = 0.5 * P_STAR
@@ -339,10 +339,8 @@ class TestStabilityProbe:
         assert low.arrival_rate == pytest.approx(0.5 * P_STAR, rel=1e-15)
         assert low.stable_votes == 3 and low.unstable_votes == 0
         assert high.unstable_votes == 3
-        assert low.q_cap == 50.0
-        assert high.eps_drift == pytest.approx(0.05 * 3.0 * P_STAR, rel=1e-15)
-        assert all(q < low.q_cap for q in low.max_queues)
-        assert all(d > high.eps_drift for d in high.drifts)
+        assert all(q < QUEUE_CAP_PER_STATION for q in low.max_queues)
+        assert all(d > 0.05 * high.arrival_rate for d in high.drifts)
         assert len(low.reports) == 3
 
     def test_replication_seeds_step_from_the_base_seed(self):
@@ -421,7 +419,7 @@ class TestMonotoneLoadResponse:
                         seed=seed,
                     )
                 )
-                acc += math.fsum(rep.per_station_mean)
+                acc += rep.mean_total_queue
             means.append(acc / 5.0)
         assert means[0] > 0.0
         assert means[1] >= means[0]
