@@ -154,12 +154,17 @@ class TestRatioCmd:
             assert float(row[1]) == pytest.approx(want, abs=5e-5)
             assert float(row[1]) == pytest.approx(ratio_P(delta), rel=1e-14)
 
-    def test_default_grid_is_monotone(self, capsys):
+    def test_grid_endpoints_land_exactly(self, capsys):
         rows = _run(capsys, "ratio")
-        assert len(rows) == 51
         # endpoints exact, no accumulated rounding
         assert float(rows[1][0]) == 0.01
         assert float(rows[-1][0]) == 0.5
+        rows = _run(capsys, "ratio", "--delta", "0.05,0.3")
+        assert [float(r[0]) for r in rows[1:]] == [0.05, 0.3]
+
+    def test_default_grid_is_monotone(self, capsys):
+        rows = _run(capsys, "ratio")
+        assert len(rows) == 51
         ratios = [float(r[1]) for r in rows[1:]]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
