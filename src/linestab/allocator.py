@@ -348,33 +348,54 @@ def _damped_shot(
     return False, p, v_n, f2
 
 
-def _shooting_phase(
+def _binding_solve(
     counts: tuple[int, ...],
-    active: list[int],
     spec: FairnessSpec,
     cfg: NetworkConfig,
-    p: list[float],
-    v_n: float,
-    grad: list[float],
+    hint: "_Solution | None" = None,
 ) -> _Solution:
-    """Costate shooting from start powers p, with V_N and gradient g on p.
+    """Distflow optimum, with the V_N and adjoint gradient on its powers.
 
-    One `_damped_shot` runs from p.  Should it give up, or p give it no
-    start (its start powers out of the floats included), a continuation
-    runs in the headroom, v_t = 1 + t (v_limit - 1), from zero load, where
-    g_j = r (N - j), at t = 1/8 (Deuflhard, ch. 5): each step a damped
-    shot from the last converged powers, t's step doubling on success and
-    halving on failure.  Returns (powers, V_N, gradient), with |slack| <=
-    1e-9 in squared-voltage units.  Raises `_range_error` where the
-    zero-load costate gives no start either, and else AllocationError whose
-    message names the last (V_N - v_limit, costate ratio) pair and t, the
-    continuation's reach (1 if it never ran), once t's step is below 2^-12
-    or the settled powers miss the constraint.
+    One station takes the whole headroom, p_0 = (v_limit - 1) / r.  Else
+    ``hint`` is the previous solve's return, typically one vehicle away.
+    The start keeps its powers at the occupied stations, zero elsewhere,
+    with the hint's V_N and gradient, recomputed only if a station has
+    emptied.  Without a hint the start is the linearized closed form, with
+    one adjoint gradient taken on it.  One `_damped_shot` runs from the
+    start.  Should it give up, or the start give it none (its start powers
+    out of the floats included), a continuation runs in the headroom, v_t =
+    1 + t (v_limit - 1), from zero load, where g_j = r (N - j), at t = 1/8
+    (Deuflhard, ch. 5): each step a damped shot from the last converged
+    powers, t's step doubling on success and halving on failure.
+
+    Returns (powers, V_N, gradient), the last two from the adjoint pass on
+    the powers, with |slack| <= 1e-9 in squared-voltage units.  Raises
+    AllocationError: naming alpha (`_range_error`) where the closed form or
+    the zero-load costate gives no start in the doubles; else naming the
+    last (V_N - v_limit, costate ratio) pair and t, the continuation's
+    reach (1 if it never ran), once t's step is below 2^-12 or the settled
+    powers miss the constraint.
     """
-    n = len(counts)
-    inv_alpha = 1.0 / spec.alpha
+    n = cfg.n_stations
     r = cfg.resistance
     v_limit = cfg.v_limit
+    active = [j for j in range(n) if counts[j] > 0]
+    if not active:
+        zeros = (0.0,) * n
+        return (zeros, *_root_voltage_and_gradient(zeros, r))
+    if n == 1:
+        # V_1 = 1 + r p_0 = v_limit
+        p0 = ((v_limit - 1.0) / r,)
+        return (p0, *_root_voltage_and_gradient(p0, r))
+    if hint is None:
+        p = list(alpha_fair_lindist(counts, spec, cfg).p)
+    else:
+        p = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
+    if hint is not None and tuple(p) == hint[0]:
+        v_n, grad = hint[1], hint[2]
+    else:
+        v_n, grad = _root_voltage_and_gradient(p, r)
+    inv_alpha = 1.0 / spec.alpha
     # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
     # cancellation; its tolerance follows that floor
     f2_tol = 4e-15 * max(n * n, 100)
@@ -408,45 +429,6 @@ def _shooting_phase(
         "costate shooting did not settle on the constraint: last (V_N - v_limit, "
         f"costate ratio) = ({v_n - v_limit:.6g}, {f2:.6g}), continuation at t = {t:g}"
     )
-
-
-def _binding_solve(
-    counts: tuple[int, ...],
-    spec: FairnessSpec,
-    cfg: NetworkConfig,
-    hint: "_Solution | None" = None,
-) -> _Solution:
-    """Distflow optimum, with the V_N and adjoint gradient on its powers.
-
-    One station takes the whole headroom, p_0 = (v_limit - 1) / r.  Else
-    ``hint`` is the previous solve's return, typically one vehicle away.
-    The start keeps its powers at the occupied stations, zero elsewhere,
-    with the hint's V_N and gradient, recomputed only if a station has
-    emptied.  Without a hint the start is the linearized closed form, with
-    one adjoint gradient taken on it.  `_shooting_phase` runs from the
-    start.  Returns (powers, V_N, gradient), the last two from the adjoint
-    pass on the powers; or raises AllocationError, which names alpha where
-    the powers leave the doubles.
-    """
-    n = cfg.n_stations
-    r = cfg.resistance
-    active = [j for j in range(n) if counts[j] > 0]
-    if not active:
-        zeros = (0.0,) * n
-        return (zeros, *_root_voltage_and_gradient(zeros, r))
-    if n == 1:
-        # V_1 = 1 + r p_0 = v_limit
-        p0 = ((cfg.v_limit - 1.0) / r,)
-        return (p0, *_root_voltage_and_gradient(p0, r))
-    if hint is None:
-        p = list(alpha_fair_lindist(counts, spec, cfg).p)
-    else:
-        p = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
-    if hint is not None and tuple(p) == hint[0]:
-        v_n, grad = hint[1], hint[2]
-    else:
-        v_n, grad = _root_voltage_and_gradient(p, r)
-    return _shooting_phase(counts, active, spec, cfg, p, v_n, grad)
 
 
 def alpha_fair_distflow(

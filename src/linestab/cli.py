@@ -85,13 +85,13 @@ def _list_of(kind: type, name: str):
     """Parser of a comma-separated list of ``kind``, named ``name`` in errors."""
 
     def parse(text: str) -> list:
+        tokens = text.split(",")
+        if not all(tok.strip() for tok in tokens):
+            raise argparse.ArgumentTypeError(f"empty item in {name} list {text!r}")
         try:
-            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+            return [kind(tok) for tok in tokens]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {name} list {text!r}") from exc
-        if not values:
-            raise argparse.ArgumentTypeError(f"empty {name} list {text!r}")
-        return values
 
     return parse
 
@@ -187,7 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fairness=FairnessSpec(alpha=args.alpha),
         model=model,
         arrival_rate=lam_base,
-        horizon=1.0,  # the probe stretches it to fit --events
+        horizon=1.0,  # unread: the probe sizes each run by --events
         seed=args.seed,
         sample_interval=1.0 / 512.0,
     )

@@ -299,14 +299,14 @@ def stability_probe(
     """Classify the feeder at several scalings of the base arrival rate.
 
     For every multiplier m, runs `replications` independent trajectories at
-    rate m * base.arrival_rate (seeds base.seed + k) and long enough to see
-    at least min_events events in expectation; each run is sampled on 513
-    grid points, 512 intervals over its horizon, regardless of
-    base.sample_interval.  A run votes stable when its drift stays below
-    eps = 0.05 * N * lambda *and* its queue peak stays below
-    QUEUE_CAP_PER_STATION * N; it votes unstable when the drift exceeds
-    eps.  A strict majority either way decides; anything else is
-    INCONCLUSIVE.
+    rate lambda = m * base.arrival_rate (seeds base.seed + k), each over a
+    horizon of 1.05 min_events / (N lambda), long enough to see min_events
+    events in expectation, and sampled on 513 grid points, 512 intervals
+    over it.  The probe reads neither base.horizon nor base.sample_interval.
+    A run votes stable when its drift stays below eps = 0.05 * N * lambda
+    *and* its queue peak stays below QUEUE_CAP_PER_STATION * N; it votes
+    unstable when the drift exceeds eps.  A strict majority either way
+    decides; anything else is INCONCLUSIVE.
 
     Raises SimulationError, prefixed with the replication and the
     multiplier, when a run aborts; no row is returned then.
@@ -327,7 +327,7 @@ def stability_probe(
         lam = m * base.arrival_rate
         eps = 0.05 * n * lam
         cap = QUEUE_CAP_PER_STATION * n
-        horizon = max(base.horizon, 1.05 * min_events / (n * lam))
+        horizon = 1.05 * min_events / (n * lam)
         drifts: list[float] = []
         peaks: list[int] = []
         reports: list[SimReport] = []

@@ -57,8 +57,8 @@ class NewtonTrace:
     """Full record of one Newton run for the scaled Distflow threshold.
 
     iterates[0] is the Newton start (the continuum root a0, capped just
-    below 2N/(N-1)), iterates[-1] the accepted root; residuals[j] =
-    V_N(iterates[j]) - 1/(1 - delta), same length.  When the iteration
+    below 2N/(N-1) for N >= 2), iterates[-1] the accepted root;
+    residuals[j] = V_N(iterates[j]) - 1/(1 - delta), same length.  When the iteration
     stops at the rounding floor, the last entry repeats the earlier
     iterate with the smallest |residual|, which is the one accepted.
     `newton_solve_a` returns a trace only for an accepted root; a failed
@@ -163,10 +163,12 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     otherwise the iteration bisects, or doubles a while hi is unbounded.
 
     The start is the continuum root a0 = (pi/2) erfi(sqrt(log 1/(1-delta)))^2,
-    capped just below 2N/(N-1); it already carries the right large-N
-    behaviour.  V_N is concave in a, so in exact arithmetic the Newton
-    steps approach the root from below and never leave the bracket; the
-    safeguards act on rounding noise and on roots past the capped start.
+    capped just below 2N/(N-1) for N >= 2; it already carries the right
+    large-N behaviour.  At N = 1, V_1 = 1 + a is linear, and the first
+    Newton step lands on a = delta / (1 - delta).  V_N is concave in a, so
+    in exact arithmetic the Newton steps approach the root from below and
+    never leave the bracket; the safeguards act on rounding noise and on
+    roots past the capped start.
     The iteration stops when the relative step falls below STEP_TOL, or
     at the recursion's rounding floor: when |residual| has not fallen for
     two evaluations, or a finite bracket is at most 4 ulps wide.  The
@@ -187,16 +189,15 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     cap itself lies past that bound, and the threshold fails there rather
     than print a wrong root.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"the Distflow threshold needs an integer n >= 2, got {n!r}")
     _check_delta(delta)
 
     target = 1.0 / (1.0 - delta)
     a0 = _continuum_root(delta)
     # the discrete profile majorizes the continuum one, so the root sits
     # below a0; the cap only bites for delta near 1/2, and moving it would
-    # move the digits of every threshold reported there
-    a_start = min(a0, (1.0 - 1e-6) * (2.0 * n / (n - 1.0)))
+    # move the digits of every threshold reported there.  A bad n is left
+    # to `distflow_sensitivity`
+    a_start = min(a0, (1.0 - 1e-6) * (2.0 * n / (n - 1.0))) if n >= 2 else a0
 
     iterates = [a_start]
     residuals: list[float] = []
@@ -269,9 +270,9 @@ def lambda_dist(cfg: NetworkConfig) -> float:
     """Exact per-station critical arrival rate, full Distflow model.
 
     a_bar / (r N^2) with a_bar from `newton_solve_a`, run to its fixed
-    STEP_TOL and ITERATION_CAP.  Requires N >= 2, because the Newton start
-    is capped below 2N/(N - 1).  At N = 1, V_1 = 1 + a gives a_bar =
-    delta / (1 - delta), below the linearized delta (2 - delta) / (2 (1 - delta)^2).
+    STEP_TOL and ITERATION_CAP.  At N = 1, V_1 = 1 + a gives a_bar =
+    delta / (1 - delta), below the linearized
+    delta (2 - delta) / (2 (1 - delta)^2).
     """
     trace = newton_solve_a(cfg.n_stations, cfg.delta)
     n = cfg.n_stations
@@ -289,8 +290,6 @@ def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> lis
     v_cont = f0(math.sqrt(a))
     rows = []
     for n in n_values:
-        if not isinstance(n, int) or n < 2:
-            raise ValueError(f"feeder sizes must be integers >= 2, got {n!r}")
         v_disc = distflow_sensitivity(a, n)[0]
         abs_err = abs(v_cont - v_disc)
         rows.append(

@@ -564,8 +564,8 @@ def _dual_solve(
         mu = mu * factor if mu_hi is None else mu / factor
         if not (1e-300 < mu < 1e300) or evals > 200:
             raise AllocationError(
-                "failed to bracket the dual multiplier",
-                {"state": counts, "alpha": spec.alpha, "mu_last": mu, "evals": evals},
+                f"failed to bracket the dual multiplier: state {counts}, alpha = "
+                f"{spec.alpha!r}, last mu = {mu:.6g} after {evals} evaluations"
             )
         p_cur, slack, settled = try_mu(mu, p_cur)
         if settled and abs(slack) <= tol:
@@ -610,14 +610,9 @@ def _dual_solve(
     except (_RecursionOverflow, OverflowError):
         pass
     raise AllocationError(
-        "dual search did not reach the requested slack tolerance",
-        {
-            "state": counts,
-            "alpha": spec.alpha,
-            "bracket": (mu_lo, mu_hi),
-            "slack": (slack_lo, slack_hi),
-            "evals": evals,
-        },
+        f"dual search did not reach the requested slack tolerance: state {counts}, "
+        f"alpha = {spec.alpha!r}, bracket mu = ({mu_lo:.6g}, {mu_hi:.6g}), slacks = "
+        f"({slack_lo:.6g}, {slack_hi:.6g}) after {evals} evaluations"
     )
 
 

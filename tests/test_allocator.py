@@ -349,16 +349,20 @@ def _count_gradients(monkeypatch) -> list:
 
 
 def _spy_shooting(monkeypatch) -> list:
-    """Record what each shooting phase returns."""
+    """Record every damped shot: what it returns if it settles, else None.
+
+    A shot that gives no start or does not settle records None, so the
+    continuation's shots show up after the first one of a solve.
+    """
     results = []
-    phase = allocator._shooting_phase
+    shot = allocator._damped_shot
 
     def spy(*args):
-        out = phase(*args)
-        results.append(out)
+        out = shot(*args)
+        results.append(out if out is not None and out[0] else None)
         return out
 
-    monkeypatch.setattr(allocator, "_shooting_phase", spy)
+    monkeypatch.setattr(allocator, "_damped_shot", spy)
     return results
 
 
@@ -400,7 +404,7 @@ class TestWarmChain:
             p = solved[0]
             # the returned V_N and gradient are the adjoint pass on p itself
             assert solved[1:] == _root_voltage_and_gradient(list(p), cfg.resistance)
-            if x[j] > 0 and len(shots) > before[0] and shots[-1] is not None:
+            if x[j] > 0 and len(shots) > before[0] and shots[before[0]] is not None:
                 # no station emptied: the hint's gradient starts the shot,
                 # and only the closing one is taken
                 assert len(gradients) == before[1] + 1
@@ -521,18 +525,23 @@ class TestHardMix:
     @pytest.mark.parametrize("seed", [5, 7])
     def test_every_cold_solve_settles(self, monkeypatch, seed):
         shots = _spy_shooting(monkeypatch)
-        solved = 0
+        solved = unsettled = 0
         for x, alpha, cfg in hard_allocation_cases(seed, 1700):
             if cfg.n_stations > 80:
                 continue
+            first = len(shots)
             p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)
+            if cfg.n_stations > 1:  # one station takes its closed form unshot
+                unsettled += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
             # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
             ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
             assert max(ratios) / min(ratios) - 1.0 <= 1e-8
             solved += 1
         assert solved > 1300
-        assert None not in shots
+        # the first shot gives up on a few solves, and the continuation
+        # from zero load settles each of them
+        assert 0 < unsettled <= 0.01 * solved
 
 
 class TestTinyAlpha:

@@ -77,12 +77,15 @@ class TestThresholds:
         err = _exits_2(capsys, "thresholds", "--n", "10", "--delta", "0.6")
         assert "(0, 0.5]" in err
 
-    def test_distflow_needs_two_stations(self, capsys):
-        # only the Distflow row needs N >= 2, and the message says so,
-        # also when the Lindist row comes first
+    def test_distflow_at_one_station(self, capsys):
+        # V_1 = 1 + r lambda meets the cap at lambda = delta / ((1 - delta) r),
+        # also when the Lindist row comes first; no station is no feeder
         for model in (["--model", "distflow"], []):
-            err = _exits_2(capsys, "thresholds", "--n", "1", "--delta", "0.2", *model)
-            assert "Distflow threshold needs an integer n >= 2" in err
+            rows = _run(capsys, "thresholds", "--n", "1", "--delta", "0.2", "--r", "0.3", *model)
+            assert rows[-1][:4] == ["distflow", "1", "0.3", "0.2"]
+            assert float(rows[-1][4]) == pytest.approx(0.2 / (0.8 * 0.3), rel=1e-14)
+        err = _exits_2(capsys, "thresholds", "--n", "0", "--delta", "0.2")
+        assert "n_stations must be an integer >= 1" in err
 
     def test_half_delta_long_feeder_lands_on_the_drop_cap(self, capsys):
         # at delta = 1/2 the N = 400 root lies past 2N/(N-1), where the
@@ -129,9 +132,15 @@ class TestNewtonCmd:
     def test_rejects_out_of_range_load_or_size(self, capsys):
         _exits_2(capsys, "newton", "--a", "2.5", "--n", "10")
         _exits_2(capsys, "newton", "--a", "-0.3", "--n", "10")
-        _exits_2(capsys, "newton", "--a", "0.01", "--n", "1")
+        _exits_2(capsys, "newton", "--a", "0.01", "--n", "0")
         err = _exits_2(capsys, "newton", "--a", "inf", "--n", "2")
         assert "a must be finite and nonnegative, got inf" in err
+
+    def test_one_station_recovers_its_load(self, capsys):
+        # V_1 = 1 + a: the cap is 1.01 and the recovered load 0.01
+        rows = _run(capsys, "newton", "--a", "0.01", "--n", "1")
+        assert rows[1][:2] == ["1", "1.01"]
+        assert float(rows[1][3]) == pytest.approx(0.01, rel=1e-13)
 
     def test_load_past_two_is_recovered_on_a_long_feeder(self, capsys):
         # the N = 400 limit is a = 2.2949, so a = 2.2 has a cap below 2
@@ -191,9 +200,14 @@ class TestConvergeCmd:
 
     def test_rejects_negative_load_and_tiny_feeder(self, capsys):
         _exits_2(capsys, "converge", "--a", "-1", "--n", "10")
-        _exits_2(capsys, "converge", "--a", "0.05", "--n", "1")
+        _exits_2(capsys, "converge", "--a", "0.05", "--n", "0")
         err = _exits_2(capsys, "converge", "--a", "inf", "--n", "10")
         assert "a must be finite and nonnegative, got inf" in err
+
+    def test_one_station_row(self, capsys):
+        # V_1 = 1 + a
+        rows = _run(capsys, "converge", "--a", "0.05", "--n", "1")
+        assert rows[1][:2] == ["1", "1.05"]
 
 
 class TestAllocateCmd:
@@ -238,8 +252,13 @@ class TestAllocateCmd:
         ["converge", "--a", "0.1", "--n", ","],
         ["ratio", "--delta", ","],
         ["simulate", "--n", "2", "--delta", "0.2", "--mult", ","],
+        ["allocate", "--x", "3,,1", "--delta", "0.1"],
+        ["newton", "--a", "0.01", "--n", ",10,,100"],
     ],
-    ids=["newton-n", "newton-a", "converge-n", "ratio-delta", "simulate-mult"],
+    ids=[
+        "newton-n", "newton-a", "converge-n", "ratio-delta", "simulate-mult",
+        "allocate-x-blank-item", "newton-n-blank-items",
+    ],
 )
 def test_empty_list_flag_exits_2(capsys, argv):
     assert "empty" in _exits_2(capsys, *argv)
@@ -276,9 +295,14 @@ class TestSimulateCmd:
         assert int(high[4]) >= 3
         assert float(high[5]) > float(low[5])
 
-    def test_distflow_needs_two_stations(self, capsys):
-        _exits_2(capsys, "simulate", "--n", "1", "--delta", "0.2",
-                 "--model", "distflow")
+    def test_distflow_at_one_station(self, capsys):
+        # the one station takes the whole headroom, so it is the single-server
+        # queue with threshold delta / ((1 - delta) r); no station is no feeder
+        rows = _run(capsys, "simulate", "--n", "1", "--delta", "0.2", "--model", "distflow",
+                    "--mult", "0.5,2.0", "--events", "20000", "--seed", "7")
+        assert float(rows[1][1]) == pytest.approx(0.5 * 0.25, rel=1e-14)
+        assert [row[2] for row in rows[1:]] == ["stable", "unstable"]
+        _exits_2(capsys, "simulate", "--n", "0", "--delta", "0.2", "--model", "distflow")
 
     def test_rejects_nonpositive_events(self, capsys):
         for events in ("-5", "0"):

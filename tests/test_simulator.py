@@ -348,7 +348,7 @@ class TestStabilityProbe:
                     seed=900)
         rows = stability_probe(base, (1.0,), replications=2, min_events=4000)
         lam = base.arrival_rate
-        horizon = max(base.horizon, 1.05 * 4000 / lam)
+        horizon = 1.05 * 4000 / lam
         want = simulate(
             replace(
                 base,
@@ -359,6 +359,16 @@ class TestStabilityProbe:
             )
         )
         assert rows[0].reports[1] == want
+
+    def test_run_length_follows_min_events_alone(self):
+        # base.horizon is unread: a run 1e5 times past the threshold still
+        # stops near min_events, where a horizon of 1 would hold ~8000 events
+        net = NetworkConfig(2, 1.0, 0.1)
+        base = _cfg(network=net, arrival_rate=lambda_lin(net), horizon=1.0,
+                    sample_interval=1.0 / 512.0, seed=1)
+        (row,) = stability_probe(base, (1e5,), replications=1, min_events=10)
+        (rep,) = row.reports
+        assert rep.arrivals + rep.departures < 100
 
     def test_queue_cap_of_zero_forces_inconclusive(self, monkeypatch):
         monkeypatch.setattr(simulator, "QUEUE_CAP_PER_STATION", 0.0)

@@ -131,7 +131,7 @@ class TestNewton:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(n=1, delta=0.1),
+            dict(n=0, delta=0.1),
             dict(n=10.0, delta=0.1),
             dict(n=10, delta=0.0),
             dict(n=10, delta=0.51),
@@ -140,6 +140,14 @@ class TestNewton:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             newton_solve_a(**kwargs)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.1, 0.3, 0.5])
+    def test_one_station_lands_on_the_closed_form(self, delta):
+        # V_1 = 1 + a is linear: the uncapped start's first step is the root
+        trace = newton_solve_a(1, delta)
+        assert trace.iterates[0] == trace.a0
+        assert trace.a_final == pytest.approx(delta / (1.0 - delta), rel=2e-15)
+        assert trace.iterations <= 2
 
 
 class TestThresholdRoot:
@@ -273,9 +281,12 @@ class TestLambdaDist:
             a_c = r * lambda_dist_critical(r, delta)
             assert f0(math.sqrt(a_c)) == pytest.approx(1.0 / (1.0 - delta), rel=1e-12)
 
-    def test_needs_two_stations(self):
-        with pytest.raises(ValueError):
-            lambda_dist(NetworkConfig(1, 1.0, 0.1))
+    def test_one_station_closed_form(self):
+        # V_1 = 1 + r lambda meets the cap at lambda = delta / ((1 - delta) r)
+        for r in (1.0, 0.3):
+            for delta in (0.01, 0.1, 0.3, 0.5):
+                want = delta / ((1.0 - delta) * r)
+                assert lambda_dist(NetworkConfig(1, r, delta)) == pytest.approx(want, rel=2e-15)
 
 
 class TestRatio:
@@ -351,6 +362,9 @@ class TestConvergenceReport:
         with pytest.raises(ValueError):
             convergence_report(-1.0, [10])
         with pytest.raises(ValueError):
-            convergence_report(1.0, [1])
+            convergence_report(1.0, [0])
         with pytest.raises(ValueError):
             convergence_report(1.0, [10.0])
+        # one station is a valid feeder: V_1 = 1 + a
+        (row,) = convergence_report(0.5, [1])
+        assert row.v_discrete == 1.5
