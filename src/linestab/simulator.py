@@ -11,7 +11,10 @@ rate, then pick the event in proportion to its rate.
 
 Randomness comes from numpy's default_rng (PCG64), which is seedable and
 cheap to split: replication k of a probe runs on seed + k.  Fixing the
-seed fixes the whole trajectory.
+seed fixes the whole trajectory.  `simulate` imports numpy itself, for the
+generator and the drift fit: nothing else in the package needs it, and it
+is most of the package's import time, so the threshold, allocation and
+convergence commands never load it.
 
 A run either reaches its horizon and returns a SimReport, or raises
 SimulationError where the allocator fails.  `stability_probe` wraps
@@ -25,8 +28,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .allocator import (
     AllocationError,
@@ -205,6 +206,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     allocator fails on a state the run reaches; the AllocationError is its
     cause.
     """
+    import numpy as np  # not at module level: see the module docstring
+
     n = cfg.network.n_stations
     lam = cfg.arrival_rate
     horizon = cfg.horizon

@@ -12,6 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -474,3 +478,49 @@ class TestCsvFormat:
         out = capsys.readouterr().out
         assert " " not in out and ";" not in out
         assert "." in out.split("\n")[1]
+
+
+class TestNumpyLoad:
+    """Only `simulate` loads numpy: the thresholds, allocations and error
+    tables need the standard library alone.  Each check runs in a fresh
+    interpreter, since this process already holds numpy through the oracles,
+    hypothesis and scipy."""
+
+    SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+    def _loads_numpy(self, *commands: list[str]) -> bool:
+        script = (
+            "import contextlib, io, sys\n"
+            "import linestab, linestab.allocator, linestab.powerflow, linestab.simulator\n"
+            "import linestab.specfun, linestab.stability\n"
+            "from linestab import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=self.SRC + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return {"True": True, "False": False}[done.stdout.strip()]
+
+    def test_no_command_but_simulate_loads_it(self):
+        assert not self._loads_numpy(
+            ["thresholds", "--n", "10", "--delta", "0.1"],
+            ["newton", "--a", "0.05", "--n", "10,100"],
+            ["ratio", "--delta", "0.1,0.5"],
+            ["converge", "--a", "0.05", "--n", "10"],
+            ["allocate", "--x", "3,0,1", "--delta", "0.15", "--model", "lindist"],
+            ["allocate", "--x", "3,0,1", "--delta", "0.15", "--model", "distflow"],
+        )
+
+    def test_simulate_loads_it(self, tmp_path):
+        out = tmp_path / "probe.csv"
+        assert self._loads_numpy(
+            ["simulate", "--n", "2", "--delta", "0.2", "--model", "lindist",
+             "--mult", "0.8", "--replications", "1", "--events", "200",
+             "--out", str(out)],
+        )
+        assert (tmp_path / "probe.csv.traj0.csv").exists()
