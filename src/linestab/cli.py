@@ -13,7 +13,8 @@ ValueError maps to exit 2.  Without --out the CSV goes to stdout and no
 manifest is written.
 
 Exit codes: 0 success, 2 flag validation, 3 solver failure, 4 simulation
-abort.
+abort.  Exit 4 covers every allocator failure during `simulate`: the
+message names the replication, the multiplier, the time and the state.
 """
 
 from __future__ import annotations
@@ -59,12 +60,16 @@ def _param(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _write_output(
     args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+    text = _csv(header, rows)
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -99,7 +104,7 @@ def _list_of(kind: type, name: str):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _cmd_thresholds(args: argparse.Namespace) -> None:
     models = (
         [PowerModel.LINDIST, PowerModel.DISTFLOW]
         if args.model == "both"
@@ -119,10 +124,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
             [model.value, args.n, args.r, args.delta, lam, args.n * args.n * lam, crit]
         )
     _write_output(args, header, rows)
-    return EXIT_OK
 
 
-def _cmd_newton(args: argparse.Namespace) -> int:
+def _cmd_newton(args: argparse.Namespace) -> None:
     rows = []
     for a in args.a:
         for n in args.n:
@@ -138,10 +142,9 @@ def _cmd_newton(args: argparse.Namespace) -> int:
             trace = newton_solve_a(n, delta)
             rows.append([n, v_target, trace.a0, trace.a_final, trace.iterations])
     _write_output(args, ["n", "v_limit", "a0", "a_final", "iterations"], rows)
-    return EXIT_OK
 
 
-def _cmd_ratio(args: argparse.Namespace) -> int:
+def _cmd_ratio(args: argparse.Namespace) -> None:
     if args.delta is not None:
         grid = args.delta
     else:
@@ -150,19 +153,17 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
         grid = [lo + i * step for i in range(count - 1)]
         grid.append(hi)  # endpoint exact, no accumulated rounding
     _write_output(args, ["delta", "ratio"], [[d, ratio_P(d)] for d in grid])
-    return EXIT_OK
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
+def _cmd_converge(args: argparse.Namespace) -> None:
     rows = [
         [rep.n, rep.v_discrete, rep.v_continuum, rep.abs_err, rep.rel_err]
         for rep in convergence_report(args.a, args.n)
     ]
     _write_output(args, ["n", "v_discrete", "v_continuum", "abs_err", "rel_err"], rows)
-    return EXIT_OK
 
 
-def _cmd_allocate(args: argparse.Namespace) -> int:
+def _cmd_allocate(args: argparse.Namespace) -> None:
     counts = args.x
     cfg = NetworkConfig(n_stations=len(counts), resistance=args.r, delta=args.delta)
     spec = FairnessSpec(alpha=args.alpha)
@@ -175,10 +176,9 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     rows = [[j, counts[j], alloc.p[j]] for j in range(len(counts))]
     rows.append(["slack", "", slack])
     _write_output(args, ["station", "queue", "power"], rows)
-    return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> None:
     cfg = NetworkConfig(n_stations=args.n, resistance=args.r, delta=args.delta)
     model = PowerModel(args.model)
     lam_base = lambda_lin(cfg) if model is PowerModel.LINDIST else lambda_dist(cfg)
@@ -226,14 +226,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # first replication of each multiplier, for plotting queue paths
         for i, row in enumerate(probe):
             rep = row.reports[0]
-            lines = ["time,total_queue"]
-            lines.extend(
-                f"{_fmt(t)},{q}" for t, q in zip(rep.time_grid, rep.total_queue)
-            )
-            Path(f"{args.out}.traj{i}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="ascii", newline=""
-            )
-    return EXIT_OK
+            text = _csv(["time", "total_queue"], zip(rep.time_grid, rep.total_queue))
+            Path(f"{args.out}.traj{i}.csv").write_text(text, encoding="ascii", newline="")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,12 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write CSV here (plus <out>.manifest.json)")
+    line = argparse.ArgumentParser(add_help=False)
+    line.add_argument("--r", type=float, default=1.0, help="per-line resistance")
+    line.add_argument("--delta", type=float, required=True, help="drop tolerance in (0, 0.5]")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("thresholds", parents=[common], help="critical arrival rates")
+    p = sub.add_parser("thresholds", parents=[common, line], help="critical arrival rates")
     p.add_argument("--n", type=int, required=True, help="number of stations")
-    p.add_argument("--r", type=float, default=1.0, help="per-line resistance")
-    p.add_argument("--delta", type=float, required=True, help="drop tolerance in (0, 0.5]")
     p.add_argument(
         "--model", choices=["lindist", "distflow", "both"], default="both"
     )
@@ -279,20 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_list_of(int, "integer"), required=True, help="feeder sizes")
     p.set_defaults(func=_cmd_converge)
 
-    p = sub.add_parser("allocate", parents=[common], help="one fair allocation")
+    p = sub.add_parser("allocate", parents=[common, line], help="one fair allocation")
     p.add_argument(
         "--x", type=_list_of(int, "integer"), required=True, help="queue lengths, far end first"
     )
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--model", choices=["lindist", "distflow"], default="distflow")
     p.set_defaults(func=_cmd_allocate)
 
-    p = sub.add_parser("simulate", parents=[common], help="stability probe by simulation")
+    p = sub.add_parser("simulate", parents=[common, line], help="stability probe by simulation")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--delta", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--model", choices=["lindist", "distflow"], default="lindist")
     p.add_argument(
@@ -313,7 +304,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
     except (NewtonFailure, AllocationError, ArithmeticError) as exc:
@@ -322,6 +313,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except SimulationError as exc:
         print(f"{parser.prog}: simulation abort: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

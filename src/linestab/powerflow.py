@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,9 @@ class PowerModel(enum.Enum):
 
 
 def _check_resistance(r: float) -> None:
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"resistance must be positive, got {r!r}")
+    # every rate the tool prints is at most 3/r, finite for a normal r only
+    if not sys.float_info.min <= r < math.inf:
+        raise ValueError(f"resistance must be a positive normal double, got {r!r}")
 
 
 def _check_delta(delta: float) -> None:

@@ -122,8 +122,8 @@ class Classification(enum.Enum):
 class ProbeRow:
     """Verdict for one arrival-rate multiplier of a stability probe.
 
-    drifts, max_queues and reports hold one entry per replication, in
-    seed order.
+    reports holds one run per replication, in seed order; drifts,
+    max_queues and the votes are read off it.
     """
 
     multiplier: float
@@ -147,9 +147,11 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     vehicle away: its powers, and the V_N and adjoint gradient it took on
     them, from which the solve shoots.  A hit, the empty feeder included,
     leaves that hint as it is.  Either model raises AllocationError,
-    naming alpha, where the powers of its weights leave the doubles, and
-    Distflow one naming its last residuals where the solve does not
-    settle; an empty feeder draws no power.
+    naming alpha, on a state whose split leaves the doubles: a weight
+    power out of double range is stored as inf, so it fails only the
+    states that occupy its station.  Distflow raises one naming its last
+    residuals where the solve does not settle; an empty feeder draws no
+    power.
     """
     net = cfg.network
     n = net.n_stations
@@ -157,12 +159,15 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     inv_alpha = 1.0 / alpha
 
     if cfg.model is PowerModel.LINDIST:
+        def power(w: float, e: float) -> float:
+            try:
+                return w**e
+            except OverflowError:
+                return math.inf
+
         weights = _lin_weights(net)
-        try:
-            w_neg = [w ** (-inv_alpha) for w in weights]
-            w_pos = [w ** (1.0 - inv_alpha) for w in weights]
-        except OverflowError:
-            raise _range_error(alpha) from None
+        w_neg = [power(w, -inv_alpha) for w in weights]
+        w_pos = [power(w, 1.0 - inv_alpha) for w in weights]
         headroom = net.w_headroom
 
         def solve_lin(x: Sequence[int]) -> tuple[list[float], float]:
@@ -306,10 +311,12 @@ def stability_probe(
     horizon of 1.05 min_events / (N lambda), long enough to see min_events
     events in expectation, and sampled on 513 grid points, 512 intervals
     over it.  The probe reads neither base.horizon nor base.sample_interval.
-    A run votes stable when its drift stays below eps = 0.05 * N * lambda
-    *and* its queue peak stays below QUEUE_CAP_PER_STATION * N; it votes
-    unstable when the drift exceeds eps.  A strict majority either way
-    decides; anything else is INCONCLUSIVE.
+    A multiplier's runs are kept in one list, and its drifts, peaks and
+    votes are read off that list.  A run votes stable when its drift stays
+    below eps = 0.05 * N * lambda *and* its queue peak stays below
+    QUEUE_CAP_PER_STATION * N; it votes unstable when the drift exceeds
+    eps.  A strict majority either way decides; anything else is
+    INCONCLUSIVE.
 
     Raises SimulationError, prefixed with the replication and the
     multiplier, when a run aborts; no row is returned then.
@@ -331,10 +338,7 @@ def stability_probe(
         eps = 0.05 * n * lam
         cap = QUEUE_CAP_PER_STATION * n
         horizon = 1.05 * min_events / (n * lam)
-        drifts: list[float] = []
-        peaks: list[int] = []
         reports: list[SimReport] = []
-        stable_votes = unstable_votes = 0
         for k in range(replications):
             run = replace(
                 base,
@@ -349,13 +353,11 @@ def stability_probe(
                 raise SimulationError(
                     f"replication {k} at multiplier {m:g} aborted: {exc}"
                 ) from exc
-            drifts.append(rep.drift_estimate)
-            peaks.append(rep.max_total_queue)
             reports.append(rep)
-            if rep.drift_estimate < eps and rep.max_total_queue < cap:
-                stable_votes += 1
-            elif rep.drift_estimate > eps:
-                unstable_votes += 1
+        drifts = tuple(rep.drift_estimate for rep in reports)
+        peaks = tuple(rep.max_total_queue for rep in reports)
+        stable_votes = sum(d < eps and q < cap for d, q in zip(drifts, peaks))
+        unstable_votes = sum(d > eps for d in drifts)
         if stable_votes * 2 > replications:
             verdict = Classification.STABLE
         elif unstable_votes * 2 > replications:
@@ -367,8 +369,8 @@ def stability_probe(
                 multiplier=float(m),
                 arrival_rate=lam,
                 classification=verdict,
-                drifts=tuple(drifts),
-                max_queues=tuple(peaks),
+                drifts=drifts,
+                max_queues=peaks,
                 stable_votes=stable_votes,
                 unstable_votes=unstable_votes,
                 reports=tuple(reports),

@@ -115,6 +115,11 @@ class TestThresholds:
         assert "distflow" not in captured.out
         assert "1e-6 of the headroom" in captured.err
 
+    def test_subnormal_resistance_exits_2(self, capsys):
+        # every rate would print as inf: 3/r leaves the doubles
+        err = _exits_2(capsys, "thresholds", "--n", "3", "--delta", "0.5", "--r", "1e-320")
+        assert "resistance must be a positive normal double, got 1e-320" in err
+
 
 class TestNewtonCmd:
     def test_forward_backward_anchor_row(self, capsys):
@@ -241,6 +246,13 @@ class TestAllocateCmd:
         _exits_2(capsys, "allocate", "--x", "-1,2", "--delta", "0.2")
 
     @pytest.mark.parametrize("model", ["lindist", "distflow"])
+    def test_subnormal_resistance_exits_2(self, capsys, model):
+        # the split used to blame alpha = 1.0 with exit 3
+        err = _exits_2(capsys, "allocate", "--x", "1,2", "--delta", "0.1",
+                       "--r", "1e-320", "--model", model)
+        assert "resistance must be a positive normal double" in err
+
+    @pytest.mark.parametrize("model", ["lindist", "distflow"])
     def test_tiny_alpha_is_a_solver_failure_naming_alpha(self, capsys, model):
         code = main(["allocate", "--x", "1,0,0", "--alpha", "0.001",
                      "--delta", "0.1", "--model", model])
@@ -326,6 +338,16 @@ class TestSimulateCmd:
         assert code == 4
         err = capsys.readouterr().err
         assert "simulation abort" in err and "alpha = 0.001" in err
+
+    def test_overflowing_weight_aborts_naming_time_and_state(self, capsys):
+        # at r = 0.1 the weights of stations 1 and 2 overflow w^(-1/alpha);
+        # the run goes on until a vehicle reaches one of them
+        code = main(["simulate", "--model", "lindist", "--n", "3", "--r", "0.1",
+                     "--delta", "0.1", "--alpha", "0.001", "--mult", "0.5",
+                     "--events", "500", "--replications", "1"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "state (" in err and "alpha = 0.001" in err
 
     def test_abort_maps_to_exit_4(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

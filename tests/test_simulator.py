@@ -15,6 +15,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import linestab.simulator as simulator
 from linestab.allocator import AllocationError, FairnessSpec, alpha_fair_lindist
@@ -263,13 +264,47 @@ class TestAllocatorBridge:
             assert _make_allocator(cfg)(x_next) != want
 
     def test_tiny_alpha_overflow_fails_naming_alpha(self):
-        # r = 0.1 makes every weight w = 2 r (N - j) < 1, so w^(-1/alpha)
-        # overflows
+        # r = 0.1 gives the weights w = 0.6, 0.4, 0.2: w^(-1/alpha)
+        # overflows on stations 1 and 2 alone, so only states that occupy
+        # them fail, and station 0 still gets the closed form
+        net = NetworkConfig(3, 0.1, 0.1)
+        spec = FairnessSpec(0.001)
+        solve = _make_allocator(
+            _cfg(network=net, fairness=spec, arrival_rate=0.01, horizon=16.0,
+                 sample_interval=1.0)
+        )
         with pytest.raises(AllocationError, match="alpha = 0.001"):
-            _make_allocator(
-                _cfg(network=NetworkConfig(3, 0.1, 0.1), fairness=FairnessSpec(0.001),
-                     arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
-            )
+            solve((0, 0, 1))
+        p, total = solve((1, 0, 0))
+        assert tuple(p) == alpha_fair_lindist((1, 0, 0), spec, net).p
+        assert p[0] == total == 0.39094650205761305
+
+    @example(x=[0, 0, 1], alpha=0.001, r=0.1, delta=0.1)
+    @example(x=[1, 0, 0], alpha=0.001, r=0.1, delta=0.1)
+    @given(
+        x=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        alpha=st.floats(math.log(1e-3), math.log(4.0)).map(math.exp),
+        r=st.floats(0.05, 5.0),
+        delta=st.floats(0.01, 0.5),
+    )
+    def test_lindist_split_fails_exactly_where_the_closed_form_does(self, x, alpha, r, delta):
+        # the simulator sums its denominator plainly, alpha_fair_lindist by
+        # fsum: the two agree to 4N ulps wherever the closed form answers
+        net = NetworkConfig(len(x), r, delta)
+        spec = FairnessSpec(alpha)
+        solve = _make_allocator(
+            _cfg(network=net, fairness=spec, arrival_rate=0.01, horizon=16.0,
+                 sample_interval=1.0)
+        )
+        try:
+            want = alpha_fair_lindist(x, spec, net).p
+        except AllocationError:
+            with pytest.raises(AllocationError, match=f"alpha = {alpha!r}"):
+                solve(x)
+            return
+        p, _ = solve(x)
+        for got, ref in zip(p, want):
+            assert abs(got - ref) <= 4 * len(x) * math.ulp(ref)
 
 
 class TestAbort:
