@@ -67,7 +67,7 @@ class FairnessSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 class AllocationError(RuntimeError):
@@ -258,7 +258,6 @@ def _damped_shot(
     p: list[float],
     v_n: float,
     grad: list[float],
-    f2_tol: float,
 ) -> "tuple[bool, list[float] | None, float, float] | None":
     """Damped Newton on (b_2, log c) for V_N = target and b_{N+1} = 0.
 
@@ -298,6 +297,9 @@ def _damped_shot(
         return None
     ell = math.log(slope / lift) / inv_alpha
     f1_tol = 1e-12 * target
+    # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
+    # cancellation; its tolerance follows that floor
+    f2_tol = 4e-15 * max(len(counts) ** 2, 100)
     v_n = f2 = math.nan
     best = math.inf  # merit of the last accepted sweep
     near = False
@@ -396,10 +398,7 @@ def _binding_solve(
     else:
         v_n, grad = _root_voltage_and_gradient(p, r)
     inv_alpha = 1.0 / spec.alpha
-    # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
-    # cancellation; its tolerance follows that floor
-    f2_tol = 4e-15 * max(n * n, 100)
-    shot = _damped_shot(counts, active, inv_alpha, r, v_limit, p, v_n, grad, f2_tol)
+    shot = _damped_shot(counts, active, inv_alpha, r, v_limit, p, v_n, grad)
     t = 1.0
     if shot is None or not shot[0]:
         p, v_n, grad = [0.0] * n, 1.0, [r * (n - j) for j in range(n)]
@@ -407,7 +406,7 @@ def _binding_solve(
         while t < 1.0:
             t_next = min(t + step, 1.0)
             target = v_limit if t_next == 1.0 else 1.0 + t_next * (v_limit - 1.0)
-            shot = _damped_shot(counts, active, inv_alpha, r, target, p, v_n, grad, f2_tol)
+            shot = _damped_shot(counts, active, inv_alpha, r, target, p, v_n, grad)
             if shot is None and t == 0.0:
                 raise _range_error(spec.alpha)
             if shot is not None and shot[0]:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .allocator import AllocationError, FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
-from .powerflow import NetworkConfig, PowerModel, distflow_sensitivity, feasible
+from .powerflow import NetworkConfig, PowerModel, distflow_sensitivity, voltage_slack
 from .simulator import SimConfig, SimulationError, stability_probe
 from .stability import (
     NewtonFailure,
@@ -40,7 +40,7 @@ from .stability import (
     ratio_P,
 )
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -172,7 +172,7 @@ def _cmd_allocate(args: argparse.Namespace) -> None:
         alloc = alpha_fair_lindist(counts, spec, cfg)
     else:
         alloc = alpha_fair_distflow(counts, spec, cfg)
-    _, slack = feasible(alloc, cfg, model)
+    slack = voltage_slack(alloc, cfg, model)
     rows = [[j, counts[j], alloc.p[j]] for j in range(len(counts))]
     rows.append(["slack", "", slack])
     _write_output(args, ["station", "queue", "power"], rows)
@@ -230,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
             Path(f"{args.out}.traj{i}.csv").write_text(text, encoding="ascii", newline="")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linestab",
         description="Stability thresholds, fair allocations and queueing "
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
@@ -314,7 +314,3 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         print(f"{parser.prog}: simulation abort: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,7 @@ Every pass evaluates it literally, left to right, in plain doubles: the
 tables pin its digits, rounding noise included, so the digits are
 reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
 Two passes run it here: the adjoint pass `_root_voltage_and_gradient`,
-which `feasible` and the allocator call, and the uniform-load pass of
+which `voltage_slack` and the allocator call, and the uniform-load pass of
 `distflow_sensitivity`, which the threshold solver calls.
 
 The linearized model drops the quadratic line-loss term and fixes the
@@ -42,7 +42,7 @@ __all__ = [
     "PowerAllocation",
     "PowerModel",
     "distflow_sensitivity",
-    "feasible",
+    "voltage_slack",
 ]
 
 
@@ -119,17 +119,16 @@ def _as_powers(p: "PowerAllocation | Sequence[float]") -> tuple[float, ...]:
     return PowerAllocation(p=tuple(p)).p
 
 
-def feasible(
+def voltage_slack(
     p: "PowerAllocation | Sequence[float]",
     cfg: NetworkConfig,
     model: PowerModel,
-) -> tuple[bool, float]:
-    """Check one allocation against the voltage-drop constraint.
+) -> float:
+    """Slack of one allocation under the voltage-drop constraint.
 
-    Returns (ok, slack); slack is nonnegative exactly when the profile is
-    feasible.  Distflow slack is w_limit - W[N, N] with the far end at 1;
-    linearized slack is W[0] - 1 with the root at the cap.  Both are in
-    squared-voltage units.
+    Nonnegative exactly when the profile is feasible.  Distflow slack is
+    w_limit - W[N, N] with the far end at 1; linearized slack is W[0] - 1
+    with the root at the cap.  Both are in squared-voltage units.
     """
     powers = _as_powers(p)
     if len(powers) != cfg.n_stations:
@@ -138,16 +137,14 @@ def feasible(
         )
     if model is PowerModel.DISTFLOW:
         v_n = _root_voltage_and_gradient(powers, cfg.resistance)[0]
-        slack = cfg.w_limit - v_n**2
-    elif model is PowerModel.LINDIST:
+        return cfg.w_limit - v_n**2
+    if model is PowerModel.LINDIST:
         # collapsed load moment sum_m (N - m) p[m] of the linearized drop
         n = len(powers)
         moment = math.fsum((n - m) * powers[m] for m in range(n))
         w0 = cfg.w_limit - 2.0 * cfg.resistance * moment
-        slack = w0 - 1.0
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return slack >= 0.0, slack
+        return w0 - 1.0
+    raise ValueError(f"unknown model {model!r}")
 
 
 def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
@@ -183,8 +180,8 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
 
     The allocator's binding solve calls it on its start (a warm solve
     reuses the one its predecessor returned), on the point it returns and,
-    in its rare continuation, on each point reached.  `feasible` keeps only
-    V[N].
+    in its rare continuation, on each point reached.  `voltage_slack` keeps
+    only V[N].
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.

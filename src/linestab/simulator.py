@@ -69,13 +69,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0.0):
             raise ValueError(
-                f"arrival_rate must be nonnegative, got {self.arrival_rate!r}"
+                f"arrival_rate must be nonnegative and finite, got {self.arrival_rate!r}"
             )
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
             raise ValueError(
-                f"sample_interval must be positive, got {self.sample_interval!r}"
+                f"sample_interval must be positive and finite, got {self.sample_interval!r}"
             )
         if self.sample_interval > self.horizon:
             raise ValueError(
@@ -136,7 +136,9 @@ class ProbeRow:
     reports: tuple[SimReport, ...]
 
 
-def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[float], float]]:
+def _make_allocator(
+    model: PowerModel, spec: FairnessSpec, net: NetworkConfig
+) -> Callable[[Sequence[int]], tuple[list[float], float]]:
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
     Linearized allocations are a closed form and get evaluated inline.
@@ -153,12 +155,11 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
     residuals where the solve does not settle; an empty feeder draws no
     power.
     """
-    net = cfg.network
     n = net.n_stations
-    alpha = cfg.fairness.alpha
+    alpha = spec.alpha
     inv_alpha = 1.0 / alpha
 
-    if cfg.model is PowerModel.LINDIST:
+    if model is PowerModel.LINDIST:
         def power(w: float, e: float) -> float:
             try:
                 return w**e
@@ -194,7 +195,7 @@ def _make_allocator(cfg: SimConfig) -> Callable[[Sequence[int]], tuple[list[floa
         hit = cache.get(key)
         if hit is not None:
             return hit
-        hint = _binding_solve(key, cfg.fairness, net, hint)
+        hint = _binding_solve(key, spec, net, hint)
         p = list(hint[0])
         entry = (p, math.fsum(p))
         if len(cache) < 200_000:  # states mostly repeat near the origin
@@ -218,7 +219,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     horizon = cfg.horizon
     interval = cfg.sample_interval
     rng = np.random.default_rng(cfg.seed)
-    solve = _make_allocator(cfg)
+    solve = _make_allocator(cfg.model, cfg.fairness, cfg.network)
 
     x = [0] * n
     total = 0
@@ -279,9 +280,15 @@ def simulate(cfg: SimConfig) -> SimReport:
 
     time_grid = tuple(i * interval for i in range(len(samples)))
     half = len(samples) // 2
-    ts = np.asarray(time_grid[half:], dtype=float)
+    # polyfit squares the times, which leave the doubles at extreme rates:
+    # fit them in units of 2^e near the interval, an exact rescaling that
+    # polyfit's own column scaling absorbs, so every slope keeps its bits
+    e = math.frexp(interval)[1]
+    ts = np.ldexp(np.asarray(time_grid[half:], dtype=float), -e)
     qs = np.asarray(samples[half:], dtype=float)
-    drift = float(np.polyfit(ts, qs, 1)[0]) if len(ts) >= 2 and ts[-1] > ts[0] else 0.0
+    drift = 0.0
+    if len(ts) >= 2 and ts[-1] > ts[0]:
+        drift = math.ldexp(float(np.polyfit(ts, qs, 1)[0]), -e)
     return SimReport(
         time_grid=time_grid,
         total_queue=tuple(samples),
@@ -330,7 +337,7 @@ def stability_probe(
     multipliers = tuple(multipliers)
     for m in multipliers:
         if not (math.isfinite(m) and m > 0.0):
-            raise ValueError(f"multipliers must be positive, got {m!r}")
+            raise ValueError(f"multipliers must be positive and finite, got {m!r}")
     n = base.network.n_stations
     rows = []
     for m in multipliers:

@@ -85,7 +85,6 @@ class ConvergenceReport:
     """One row of the discrete-to-continuum comparison at fixed a."""
 
     n: int
-    a: float
     v_discrete: float
     v_continuum: float
     abs_err: float
@@ -295,7 +294,6 @@ def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> lis
         rows.append(
             ConvergenceReport(
                 n=n,
-                a=a,
                 v_discrete=v_disc,
                 v_continuum=v_cont,
                 abs_err=abs_err,

@@ -280,7 +280,7 @@ def lindist_squared_voltages(
 
         W[j] = W[j+1] - 2 r sum_{m=0}^{N-1-j} p[m].
 
-    An independent route to the LINDIST slack W[0] - 1, which `feasible`
+    An independent route to the LINDIST slack W[0] - 1, which `voltage_slack`
     computes from the collapsed load moment instead.
     """
     powers = _as_powers(p)

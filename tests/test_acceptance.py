@@ -19,7 +19,7 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
     distflow_sensitivity,
-    feasible,
+    voltage_slack,
 )
 from linestab.simulator import Classification, SimConfig, simulate, stability_probe
 from linestab.specfun import erfi
@@ -198,7 +198,7 @@ class TestUniformBoundary:
             delta = rng.uniform(0.02, 0.45)
             cfg = NetworkConfig(n, r, delta)
             uniform_lin = [lambda_lin(cfg)] * n
-            _, slack = feasible(uniform_lin, cfg, PowerModel.LINDIST)
+            slack = voltage_slack(uniform_lin, cfg, PowerModel.LINDIST)
             if abs(slack) >= 1e-10:
                 problems.append(f"lin n={n} r={r:.3f} d={delta:.3f}: {slack!r}")
             uniform_dist = [lambda_dist(cfg)] * n
@@ -280,7 +280,7 @@ class TestRecursionPropertyBattery:
             load = r * math.fsum(p)
             if root * root < root + load - 1e-12 * (1.0 + load):
                 flag("compactness bounds")
-            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
             if slack >= 0.0 and load > cfg.w_headroom + 1e-9:
                 flag("compactness bounds")
 
@@ -343,7 +343,7 @@ class TestAllocatorCorrectness:
             alpha = rng.choice((0.5, 1.0, 2.0, 4.0))
             cfg = NetworkConfig(n, rng.uniform(0.1, 3.0), rng.uniform(0.05, 0.45))
             alloc = alpha_fair_distflow(counts, FairnessSpec(alpha), cfg)
-            _, slack = feasible(alloc, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack(alloc, cfg, PowerModel.DISTFLOW)
             worst_slack = max(worst_slack, abs(slack))
             if abs(slack) > 1e-9:
                 problems.append(f"slack {slack:.2e} at x={counts} alpha={alpha}")

@@ -20,7 +20,7 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
     _root_voltage_and_gradient,
-    feasible,
+    voltage_slack,
 )
 from linestab.cli import main
 from oracles import (
@@ -106,7 +106,7 @@ class TestLindistAllocator:
                 cfg = NetworkConfig(n, rng.uniform(0.1, 3.0), rng.uniform(0.01, 0.5))
                 x = _random_state(rng, n)
                 p = alpha_fair_lindist(x, FairnessSpec(alpha), cfg)
-                _, slack = feasible(p, cfg, PowerModel.LINDIST)
+                slack = voltage_slack(p, cfg, PowerModel.LINDIST)
                 assert abs(slack) <= 1e-10 * cfg.w_headroom
 
     def test_empty_stations_get_nothing(self, rng):
@@ -187,7 +187,7 @@ class TestDistflowAllocator:
                 cfg = NetworkConfig(n, rng.uniform(0.1, 3.0), rng.uniform(0.02, 0.5))
                 x = _random_state(rng, n)
                 p = alpha_fair_distflow(x, FairnessSpec(alpha), cfg)
-                _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+                slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
                 assert abs(slack) <= 1e-9
 
     def test_kkt_stationarity(self, rng):
@@ -297,7 +297,7 @@ class TestDistflowAllocator:
         for x in (1, 7, 300):
             p = alpha_fair_distflow([x], FairnessSpec(0.5 * x), cfg).p
             assert p == ((cfg.v_limit - 1.0) / r,)
-            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
             assert abs(slack) <= 1e-9
         assert shots == []
 
@@ -408,7 +408,7 @@ class TestWarmChain:
                 # no station emptied: the hint's gradient starts the shot,
                 # and only the closing one is taken
                 assert len(gradients) == before[1] + 1
-            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
             assert abs(slack) <= 1e-9
             want, _ = _dual_solve(x, spec, cfg)
             for a, b in zip(p, want):
@@ -486,7 +486,7 @@ class TestWarmChain:
         # the hint's own gradient starts the shot; only the closing one is taken
         assert len(shots) == 1 and shots[0] is not None
         assert gradients == [p]
-        _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+        slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
         assert abs(slack) <= 1e-9
         want, _ = _dual_solve(x, spec, cfg)
         for a, b in zip(p, want):
@@ -543,6 +543,19 @@ class TestHardMix:
         # from zero load settles each of them
         assert 0 < unsettled <= 0.01 * solved
 
+    def test_a_shot_stopped_at_the_rounding_floor_settles(self, monkeypatch):
+        # N = 187, every station occupied: the one damped shot ends where a
+        # halved step no longer moves the unknowns, short of its 1e-12
+        # V_N tolerance, and the solve still lands on the constraint
+        x, alpha, cfg = hard_allocation_cases(5, 950)[949]
+        shots = _spy_shooting(monkeypatch)
+        p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)
+        assert len(shots) == 1 and shots[0] is not None
+        assert abs(shots[0][2] - cfg.v_limit) >= 1e-12 * cfg.v_limit
+        assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+        ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
+        assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+
 
 class TestTinyAlpha:
     """At alpha near 0 the weights' powers w^(-1/alpha) leave the doubles;
@@ -576,7 +589,7 @@ class TestTinyAlpha:
     )
     def test_damped_shot_without_a_start_in_the_floats_gives_none(self, grad):
         # (g_1 / g_0)^(-1000) overflows, or g_1 / g_0 underflows to 0
-        args = ((1, 1), [0, 1], 1000.0, 1.0, 1.1, [0.0, 0.0], 1.0, grad, 4e-13)
+        args = ((1, 1), [0, 1], 1000.0, 1.0, 1.1, [0.0, 0.0], 1.0, grad)
         assert allocator._damped_shot(*args) is None
 
 

@@ -22,7 +22,7 @@ import pytest
 import linestab.cli as cli
 from linestab import __version__
 from linestab.allocator import FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
-from linestab.cli import build_parser, main
+from linestab.cli import _build_parser, main
 from linestab.powerflow import NetworkConfig
 from linestab.simulator import SimulationError
 from linestab.stability import (
@@ -252,6 +252,10 @@ class TestAllocateCmd:
                        "--r", "1e-320", "--model", model)
         assert "resistance must be a positive normal double" in err
 
+    def test_infinite_alpha_exits_2_naming_finite(self, capsys):
+        err = _exits_2(capsys, "allocate", "--x", "1,2", "--delta", "0.1", "--alpha", "inf")
+        assert "alpha must be positive and finite, got inf" in err
+
     @pytest.mark.parametrize("model", ["lindist", "distflow"])
     def test_tiny_alpha_is_a_solver_failure_naming_alpha(self, capsys, model):
         code = main(["allocate", "--x", "1,0,0", "--alpha", "0.001",
@@ -326,6 +330,10 @@ class TestSimulateCmd:
                            "--events", events, "--replications", "1")
             assert "min_events must be >= 1" in err
 
+    def test_infinite_multiplier_exits_2_naming_finite(self, capsys):
+        err = _exits_2(capsys, "simulate", "--n", "3", "--delta", "0.1", "--mult", "inf")
+        assert "multipliers must be positive and finite, got inf" in err
+
     def test_horizon_is_not_a_flag(self, capsys):
         _exits_2(capsys, "simulate", "--n", "2", "--delta", "0.2", "--horizon", "1")
 
@@ -361,7 +369,7 @@ class TestSimulateCmd:
 
 def _recorded_flags(argv: list[str]) -> set[str]:
     """Flags of argv's subcommand, bar --out, that parse to a value."""
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return {

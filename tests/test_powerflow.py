@@ -13,7 +13,7 @@ from linestab.powerflow import (
     PowerModel,
     _root_voltage_and_gradient,
     distflow_sensitivity,
-    feasible,
+    voltage_slack,
 )
 from oracles import (
     VoltageProfile,
@@ -122,12 +122,12 @@ class TestDistflowRoutes:
                 assert w_off == pytest.approx(u * v, rel=1e-12)
 
     def test_feasible_slack_is_literal_profile_exactly(self, rng):
-        # feasible keeps V[N] of the adjoint pass; it must be the literal
+        # voltage_slack keeps V[N] of the adjoint pass; it must be the literal
         # recursion's V[N] bit for bit, not merely close to it
         for _ in range(200):
             p, r = _random_case(rng, n_max=60)
             cfg = NetworkConfig(len(p), r, rng.uniform(0.01, 0.5))
-            _, slack = feasible(p, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
             assert slack == cfg.w_limit - distflow_voltages(p, r).root_end ** 2
 
     def test_zero_load_profile_is_flat(self):
@@ -311,17 +311,16 @@ class TestCompactnessBounds:
             raw = [rng.uniform(0.05, 1.0) for _ in range(n)]
             # push the draw to the feasibility boundary, then step just inside
             lo, hi = 0.0, 1.0
-            while feasible([hi * q for q in raw], cfg, PowerModel.DISTFLOW)[0]:
+            while voltage_slack([hi * q for q in raw], cfg, PowerModel.DISTFLOW) >= 0.0:
                 hi *= 2.0
             for _ in range(48):
                 mid = 0.5 * (lo + hi)
-                if feasible([mid * q for q in raw], cfg, PowerModel.DISTFLOW)[0]:
+                if voltage_slack([mid * q for q in raw], cfg, PowerModel.DISTFLOW) >= 0.0:
                     lo = mid
                 else:
                     hi = mid
             p = [lo * q for q in raw]
-            ok, slack = feasible(p, cfg, PowerModel.DISTFLOW)
-            assert ok and slack >= 0.0
+            assert voltage_slack(p, cfg, PowerModel.DISTFLOW) >= 0.0
             assert cfg.resistance * math.fsum(p) <= cfg.w_headroom + 1e-9
 
     def test_lindist_feasibility_is_weighted_load_cut(self, rng):
@@ -331,9 +330,9 @@ class TestCompactnessBounds:
             r = rng.uniform(0.1, 2.0)
             cfg = NetworkConfig(n, r, delta)
             p = [rng.uniform(0.0, 0.4) for _ in range(n)]
-            ok, slack = feasible(p, cfg, PowerModel.LINDIST)
+            slack = voltage_slack(p, cfg, PowerModel.LINDIST)
             load = lindist_weighted_load(p)
-            assert ok == (2.0 * r * load <= cfg.w_headroom)
+            assert (slack >= 0.0) == (2.0 * r * load <= cfg.w_headroom)
             assert slack == pytest.approx(
                 cfg.w_headroom - 2.0 * r * load, rel=1e-12, abs=1e-15
             )
@@ -341,12 +340,12 @@ class TestCompactnessBounds:
     def test_feasible_rejects_length_mismatch(self):
         cfg = NetworkConfig(3, 1.0, 0.1)
         with pytest.raises(ValueError):
-            feasible([0.1, 0.1], cfg, PowerModel.DISTFLOW)
+            voltage_slack([0.1, 0.1], cfg, PowerModel.DISTFLOW)
 
     def test_feasible_rejects_unknown_model(self):
         cfg = NetworkConfig(1, 1.0, 0.1)
         with pytest.raises(ValueError):
-            feasible([0.1], cfg, "distflow")
+            voltage_slack([0.1], cfg, "distflow")
 
 
 @st.composite
@@ -505,6 +504,6 @@ class TestLindistProfile:
             delta = rng.uniform(0.05, 0.5)
             cfg = NetworkConfig(n, r, delta)
             p = [rng.uniform(0.0, 0.2) for _ in range(n)]
-            _, slack = feasible(p, cfg, PowerModel.LINDIST)
+            slack = voltage_slack(p, cfg, PowerModel.LINDIST)
             w = lindist_squared_voltages(p, r, delta)
             assert slack == pytest.approx(w[0] - 1.0, rel=1e-11, abs=1e-13)

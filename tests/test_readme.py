@@ -26,6 +26,6 @@ def test_command_line_examples_parse():
         if line.startswith("linestab ")
     ]
     assert commands, "README has no linestab command"
-    parser = cli.build_parser()
+    parser = cli._build_parser()
     for line in commands:
         parser.parse_args(shlex.split(line)[1:])

@@ -12,6 +12,7 @@ below the tested effect.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import example, given, strategies as st
 
 import linestab.simulator as simulator
 from linestab.allocator import AllocationError, FairnessSpec, alpha_fair_lindist
-from linestab.powerflow import NetworkConfig, PowerModel, feasible
+from linestab.powerflow import NetworkConfig, PowerModel, voltage_slack
 from linestab.simulator import (
     QUEUE_CAP_PER_STATION,
     Classification,
@@ -71,6 +72,11 @@ class TestConfigValidation:
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
             _cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["arrival_rate", "horizon", "sample_interval"])
+    def test_infinite_field_names_finite(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be .* and finite, got inf"):
+            _cfg(**{field: math.inf})
 
     def test_sample_interval_must_fit_inside_horizon(self):
         with pytest.raises(ValueError):
@@ -163,8 +169,8 @@ class TestEventFeasibility:
         seen: list[tuple[tuple[int, ...], tuple[float, ...]]] = []
         real = simulator._make_allocator
 
-        def spying(cfg):
-            inner = real(cfg)
+        def spying(model, spec, net):
+            inner = real(model, spec, net)
 
             def wrapped(x):
                 p, s = inner(x)
@@ -191,7 +197,7 @@ class TestEventFeasibility:
             for xj, pj in zip(x, p):
                 assert (pj > 0.0) == (xj > 0)
             if any(x):
-                _, slack = feasible(p, net, model)
+                slack = voltage_slack(p, net, model)
                 assert slack >= -1e-9
 
 
@@ -199,10 +205,7 @@ class TestAllocatorBridge:
     def test_lindist_bridge_matches_closed_form(self):
         net = NetworkConfig(4, 0.8, 0.15)
         spec = FairnessSpec(2.0)
-        solve = _make_allocator(
-            _cfg(network=net, fairness=spec, arrival_rate=0.01, horizon=16.0,
-                 sample_interval=1.0)
-        )
+        solve = _make_allocator(PowerModel.LINDIST, spec, net)
         for x in [(1, 0, 2, 5), (0, 0, 0, 1), (3, 3, 3, 3)]:
             p, total = solve(x)
             ref = alpha_fair_lindist(x, spec, net)
@@ -213,25 +216,19 @@ class TestAllocatorBridge:
     def test_distflow_bridge_matches_dual_solver(self):
         net = NetworkConfig(3, 1.2, 0.25)
         spec = FairnessSpec(2.0)
-        solve = _make_allocator(
-            _cfg(network=net, fairness=spec, model=PowerModel.DISTFLOW,
-                 arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
-        )
+        solve = _make_allocator(PowerModel.DISTFLOW, spec, net)
         for x in [(2, 1, 4), (1, 0, 1), (0, 5, 0)]:
             p, total = solve(x)
             ref, _ = _dual_solve(x, spec, net)
             for got, want in zip(p, ref):
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
-            _, slack = feasible(p, net, PowerModel.DISTFLOW)
+            slack = voltage_slack(p, net, PowerModel.DISTFLOW)
             assert slack >= -1e-9
             assert total == pytest.approx(math.fsum(p), rel=1e-15)
 
     def test_all_empty_draws_no_power(self):
         for model in (PowerModel.LINDIST, PowerModel.DISTFLOW):
-            solve = _make_allocator(
-                _cfg(network=NetworkConfig(3, 1.0, 0.2), model=model,
-                     arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
-            )
+            solve = _make_allocator(model, FairnessSpec(1.0), NetworkConfig(3, 1.0, 0.2))
             p, total = solve((0, 0, 0))
             assert p == [0.0, 0.0, 0.0]
             assert total == 0.0
@@ -240,10 +237,7 @@ class TestAllocatorBridge:
         # at alpha = 0.001 every occupied w_j^(1 - 1/alpha) of (1, 0, 0)
         # underflows; the empty feeder still draws nothing
         for model in (PowerModel.LINDIST, PowerModel.DISTFLOW):
-            solve = _make_allocator(
-                _cfg(network=NetworkConfig(3, 1.0, 0.1), fairness=FairnessSpec(0.001),
-                     model=model, arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
-            )
+            solve = _make_allocator(model, FairnessSpec(0.001), NetworkConfig(3, 1.0, 0.1))
             assert solve((0, 0, 0)) == ([0.0, 0.0, 0.0], 0.0)
             with pytest.raises(AllocationError, match="alpha = 0.001"):
                 solve((1, 0, 0))
@@ -251,17 +245,16 @@ class TestAllocatorBridge:
     def test_empty_feeder_leaves_the_warm_hint(self):
         # x -> empty -> x' must solve x' from x's hint, bit for bit as
         # x -> x'; a cold solve of x' lands on other bits
-        cfg = _cfg(network=NetworkConfig(3, 1.0, 0.2), model=PowerModel.DISTFLOW,
-                   arrival_rate=0.01, horizon=16.0, sample_interval=1.0)
+        config = (PowerModel.DISTFLOW, FairnessSpec(1.0), NetworkConfig(3, 1.0, 0.2))
         for x, x_next in [((1, 2, 0), (1, 2, 1)), ((2, 1, 3), (2, 1, 4))]:
-            direct = _make_allocator(cfg)
+            direct = _make_allocator(*config)
             direct(x)
             want = direct(x_next)
-            via_empty = _make_allocator(cfg)
+            via_empty = _make_allocator(*config)
             via_empty(x)
             assert via_empty((0, 0, 0)) == ([0.0, 0.0, 0.0], 0.0)
             assert via_empty(x_next) == want
-            assert _make_allocator(cfg)(x_next) != want
+            assert _make_allocator(*config)(x_next) != want
 
     def test_tiny_alpha_overflow_fails_naming_alpha(self):
         # r = 0.1 gives the weights w = 0.6, 0.4, 0.2: w^(-1/alpha)
@@ -269,10 +262,7 @@ class TestAllocatorBridge:
         # them fail, and station 0 still gets the closed form
         net = NetworkConfig(3, 0.1, 0.1)
         spec = FairnessSpec(0.001)
-        solve = _make_allocator(
-            _cfg(network=net, fairness=spec, arrival_rate=0.01, horizon=16.0,
-                 sample_interval=1.0)
-        )
+        solve = _make_allocator(PowerModel.LINDIST, spec, net)
         with pytest.raises(AllocationError, match="alpha = 0.001"):
             solve((0, 0, 1))
         p, total = solve((1, 0, 0))
@@ -292,10 +282,7 @@ class TestAllocatorBridge:
         # fsum: the two agree to 4N ulps wherever the closed form answers
         net = NetworkConfig(len(x), r, delta)
         spec = FairnessSpec(alpha)
-        solve = _make_allocator(
-            _cfg(network=net, fairness=spec, arrival_rate=0.01, horizon=16.0,
-                 sample_interval=1.0)
-        )
+        solve = _make_allocator(PowerModel.LINDIST, spec, net)
         try:
             want = alpha_fair_lindist(x, spec, net).p
         except AllocationError:
@@ -321,7 +308,7 @@ class TestAbort:
 
 class TestSingleStationOracle:
     def test_occupied_station_always_gets_full_boundary_power(self):
-        solve = _make_allocator(_cfg())
+        solve = _make_allocator(PowerModel.LINDIST, FairnessSpec(1.0), NET1)
         for k in (1, 2, 3, 5, 8):
             p, total = solve([k])
             assert p[0] == pytest.approx(P_STAR, rel=1e-12)
@@ -425,6 +412,29 @@ class TestStabilityProbe:
             Classification.STABLE,
             Classification.UNSTABLE,
         ]
+
+    @pytest.mark.parametrize("model", [PowerModel.LINDIST, PowerModel.DISTFLOW])
+    def test_power_of_two_resistance_scales_every_run_exactly(self, model):
+        # rates and drifts scale by 1/r, bit for bit when r = 2^k; the drift
+        # fit must not square times that leave the doubles at the extremes
+        def probe(k):
+            net = NetworkConfig(3, math.ldexp(1.0, k), 0.1)
+            lam_star = lambda_lin(net) if model is PowerModel.LINDIST else lambda_dist(net)
+            base = _cfg(network=net, model=model, arrival_rate=lam_star, seed=7)
+            return stability_probe(base, (0.5, 2.0), replications=2, min_events=3000)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = probe(0)
+            for k in (-560, -1000, 990):
+                for got, ref in zip(probe(k), want, strict=True):
+                    assert got.classification is ref.classification
+                    assert (got.stable_votes, got.unstable_votes) == (
+                        ref.stable_votes, ref.unstable_votes
+                    )
+                    assert got.max_queues == ref.max_queues
+                    assert math.ldexp(got.arrival_rate, k) == ref.arrival_rate
+                    assert [math.ldexp(d, k) for d in got.drifts] == list(ref.drifts)
 
     def test_rejects_bad_arguments(self, monkeypatch):
         def no_run(cfg):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linestab import stability
-from linestab.powerflow import NetworkConfig, PowerModel, distflow_sensitivity, feasible
+from linestab.powerflow import NetworkConfig, PowerModel, distflow_sensitivity, voltage_slack
 from linestab.specfun import erfi, f0
 from linestab.stability import (
     ConvergenceReport,
@@ -35,10 +35,10 @@ class TestLambdaLin:
             lam = lambda_lin(cfg)
             # at the exact threshold the slack is zero up to rounding (either
             # sign); a relative nudge flips feasibility cleanly
-            _, slack = feasible([lam] * n, cfg, PowerModel.LINDIST)
+            slack = voltage_slack([lam] * n, cfg, PowerModel.LINDIST)
             assert abs(slack) <= 1e-12 * cfg.w_headroom
-            assert feasible([lam * (1.0 - 1e-9)] * n, cfg, PowerModel.LINDIST)[0]
-            assert not feasible([lam * (1.0 + 1e-9)] * n, cfg, PowerModel.LINDIST)[0]
+            assert voltage_slack([lam * (1.0 - 1e-9)] * n, cfg, PowerModel.LINDIST) >= 0.0
+            assert voltage_slack([lam * (1.0 + 1e-9)] * n, cfg, PowerModel.LINDIST) < 0.0
 
     def test_monotone_in_parameters(self):
         base = NetworkConfig(10, 1.0, 0.1)
@@ -116,9 +116,9 @@ class TestNewton:
         assert abs(trace.residuals[-1]) <= 1e-12
         cfg = NetworkConfig(400, 1.0, 0.5)
         lam = lambda_dist(cfg)
-        _, slack = feasible([lam] * 400, cfg, PowerModel.DISTFLOW)
+        slack = voltage_slack([lam] * 400, cfg, PowerModel.DISTFLOW)
         assert abs(slack) <= 1e-10 * cfg.w_limit
-        assert not feasible([lam * (1.0 + 1e-8)] * 400, cfg, PowerModel.DISTFLOW)[0]
+        assert voltage_slack([lam * (1.0 + 1e-8)] * 400, cfg, PowerModel.DISTFLOW) < 0.0
 
     def test_failure_carries_partial_trace(self, monkeypatch):
         monkeypatch.setattr(stability, "ITERATION_CAP", 1)
@@ -245,10 +245,10 @@ class TestLambdaDist:
             delta = rng.uniform(0.02, 0.45)
             cfg = NetworkConfig(n, r, delta)
             lam = lambda_dist(cfg)
-            _, slack = feasible([lam] * n, cfg, PowerModel.DISTFLOW)
+            slack = voltage_slack([lam] * n, cfg, PowerModel.DISTFLOW)
             assert abs(slack) <= 1e-8 * cfg.w_limit
-            assert feasible([lam * 0.999] * n, cfg, PowerModel.DISTFLOW)[0]
-            assert not feasible([lam * 1.001] * n, cfg, PowerModel.DISTFLOW)[0]
+            assert voltage_slack([lam * 0.999] * n, cfg, PowerModel.DISTFLOW) >= 0.0
+            assert voltage_slack([lam * 1.001] * n, cfg, PowerModel.DISTFLOW) < 0.0
 
     def test_below_linearized_threshold(self):
         cases = [
@@ -342,7 +342,6 @@ class TestConvergenceReport:
         v_cont = f0(math.sqrt(a))
         for row in rows:
             assert isinstance(row, ConvergenceReport)
-            assert row.a == a
             assert row.v_continuum == v_cont
             assert row.v_discrete == distflow_sensitivity(a, row.n)[0]
             assert row.abs_err == abs(v_cont - row.v_discrete)
