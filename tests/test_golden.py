@@ -44,10 +44,10 @@ def test_allocate_powers_are_the_kkt_point(name, flags):
         assert float(power) == pytest.approx(want[int(station)], rel=5e-13, abs=0.0)
 
 
-def _check_simulate_bytes(tmp_path, name, mult):
+def _check_simulate_bytes(tmp_path, name, mult, model="distflow"):
     out = tmp_path / name
     argv = [
-        "simulate", "--model", "distflow", "--n", "5", "--delta", "0.1",
+        "simulate", "--model", model, "--n", "5", "--delta", "0.1",
         "--mult", mult, "--replications", "1", "--events", "3000",
         "--seed", "7", "--out", str(out),
     ]
@@ -65,3 +65,8 @@ def test_stable_simulate_bytes(tmp_path):
     # at half the threshold stations empty and refill: 124 of the 266 warm
     # solves start from a hint that leaves a newly occupied station unpowered
     _check_simulate_bytes(tmp_path, "simulate_stable.csv", "0.5")
+
+
+def test_lindist_simulate_bytes(tmp_path):
+    # the simulator's own Lindist split, overloaded
+    _check_simulate_bytes(tmp_path, "simulate_lindist.csv", "2.0", model="lindist")
