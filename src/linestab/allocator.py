@@ -79,12 +79,14 @@ class AllocationError(RuntimeError):
     """
 
 
-def _as_counts(x: Sequence[int]) -> tuple[int, ...]:
-    """Vehicle counts per station, relabeled order (index 0 farthest)."""
+def _as_counts(x: Sequence[int], n: int) -> tuple[int, ...]:
+    """Vehicle counts at n stations, relabeled order (index 0 farthest)."""
     raw = tuple(x)
     counts = tuple(map(int, raw))
     if counts != raw or min(counts, default=0) < 0:
         raise ValueError(f"queue lengths must be nonnegative integers, got {raw!r}")
+    if len(counts) != n:
+        raise ValueError(f"state has {len(counts)} entries for {n} stations")
     return counts
 
 
@@ -111,9 +113,7 @@ def alpha_fair_lindist(
     The constraint binds whenever any station is occupied.  Raises
     AllocationError where the powers of w leave the doubles (alpha near 0).
     """
-    counts = _as_counts(x)
-    if len(counts) != cfg.n_stations:
-        raise ValueError(f"state has {len(counts)} entries for {cfg.n_stations} stations")
+    counts = _as_counts(x, cfg.n_stations)
     if all(v == 0 for v in counts):
         return PowerAllocation(p=(0.0,) * cfg.n_stations)
     w = _lin_weights(cfg)
@@ -439,7 +439,5 @@ def alpha_fair_distflow(
     AllocationError, naming its last residuals, when the solve fails to
     settle.
     """
-    counts = _as_counts(x)
-    if len(counts) != cfg.n_stations:
-        raise ValueError(f"state has {len(counts)} entries for {cfg.n_stations} stations")
+    counts = _as_counts(x, cfg.n_stations)
     return PowerAllocation(p=_binding_solve(counts, spec, cfg)[0])

@@ -127,8 +127,9 @@ def voltage_slack(
     """Slack of one allocation under the voltage-drop constraint.
 
     Nonnegative exactly when the profile is feasible.  Distflow slack is
-    w_limit - W[N, N] with the far end at 1; linearized slack is W[0] - 1
-    with the root at the cap.  Both are in squared-voltage units.
+    w_limit - W[N, N] with the far end at 1; linearized slack is the
+    headroom w_limit - 1 less the linearized drop 2 r sum_m (N - m) p[m],
+    the budget the Lindist split spends.  Both are in squared-voltage units.
     """
     powers = _as_powers(p)
     if len(powers) != cfg.n_stations:
@@ -142,8 +143,7 @@ def voltage_slack(
         # collapsed load moment sum_m (N - m) p[m] of the linearized drop
         n = len(powers)
         moment = math.fsum((n - m) * powers[m] for m in range(n))
-        w0 = cfg.w_limit - 2.0 * cfg.resistance * moment
-        return w0 - 1.0
+        return cfg.w_headroom - 2.0 * cfg.resistance * moment
     raise ValueError(f"unknown model {model!r}")
 
 

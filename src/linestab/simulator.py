@@ -325,8 +325,9 @@ def stability_probe(
     eps.  A strict majority either way decides; anything else is
     INCONCLUSIVE.
 
-    Raises SimulationError, prefixed with the replication and the
-    multiplier, when a run aborts; no row is returned then.
+    Raises ValueError, naming min_events and the rate, when that horizon
+    leaves the doubles, and SimulationError, prefixed with the replication
+    and the multiplier, when a run aborts; no row is returned then.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -345,6 +346,11 @@ def stability_probe(
         eps = 0.05 * n * lam
         cap = QUEUE_CAP_PER_STATION * n
         horizon = 1.05 * min_events / (n * lam)
+        if not 0.0 < horizon < math.inf:
+            raise ValueError(
+                f"min_events = {min_events} at arrival rate {lam:g} (multiplier {m:g}) "
+                "needs a run length outside the doubles"
+            )
         reports: list[SimReport] = []
         for k in range(replications):
             run = replace(

@@ -75,11 +75,11 @@ _U_ARG_MAX = _SQRT_HALF_PI * erfi(ERFI_ARG_MAX)
 def u_inverse(x: float) -> float:
     """Solve sqrt(2) * int_0^U exp(u^2) du = x for U >= 0.
 
-    Equivalently erfi(U) = x * sqrt(2/pi).  Safeguarded Newton iteration:
-    steps that leave the current root bracket are replaced by bisection, so
-    the quadratic convergence of Newton is kept without losing the global
-    guarantee.  The iteration runs to machine precision; the residual is
-    then checked against a bound of 1e-13 relative, plus the ulp slack.
+    Equivalently erfi(U) = x * sqrt(2/pi).  The integrand is at least 1, so
+    U lies in [0, x / sqrt(2)]; bisection halves that bracket until its ends
+    are neighbouring doubles and returns the end with the smaller residual.
+    That residual is then checked against a bound of 1e-13 relative, plus
+    the ulp slack.
     """
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"u_inverse expects x >= 0, got {x!r}")
@@ -91,35 +91,15 @@ def u_inverse(x: float) -> float:
     def residual(u: float) -> float:
         return _SQRT_HALF_PI * erfi(u) - x
 
-    # integrand >= 1, so U <= x / sqrt(2); that gives a free upper bracket
-    hi = min(x / math.sqrt(2.0), ERFI_ARG_MAX)
-    lo = 0.0
-    if x <= 2.0:
-        u = hi
-    else:
-        # asymptotically x ~ exp(U^2) / (sqrt(2) U); one fixed-point pass
-        # on U^2 = log(sqrt(2) x) + log U seeds Newton within a few steps,
-        # where starting from the upper bracket would crawl at O(1/U)
-        lx = math.log(math.sqrt(2.0) * x)
-        u = math.sqrt(lx)
-        u = math.sqrt(lx + math.log(u))
-        u = min(u, hi)
-    for _ in range(200):
-        g = residual(u)
-        if g == 0.0:
-            return u
-        if g < 0.0:
-            lo = u
+    lo, hi = 0.0, min(x / math.sqrt(2.0), ERFI_ARG_MAX)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if residual(mid) < 0.0:
+            lo = mid
         else:
-            hi = u
-        step = g / (math.sqrt(2.0) * math.exp(min(u * u, 709.0)))
-        u_next = u - step
-        if not lo < u_next < hi:
-            u_next = 0.5 * (lo + hi)
-        if abs(u_next - u) <= 2.0 * sys.float_info.epsilon * max(abs(u), 1e-300):
-            u = u_next
-            break
-        u = u_next
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    u = min(lo, hi, key=lambda v: abs(residual(v)))
     # a root pinned to the last ulp still moves the residual by the local
     # derivative, so grant that much on top of the bound
     ulp_slack = (

@@ -505,9 +505,7 @@ def _dual_solve(
     constraint bind by secant steps safeguarded with log-space bisection.
     ``mu_hint`` and ``p_hint`` warm-start the search.
     """
-    counts = _as_counts(x)
-    if len(counts) != cfg.n_stations:
-        raise ValueError(f"state has {len(counts)} entries for {cfg.n_stations} stations")
+    counts = _as_counts(x, cfg.n_stations)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     n = cfg.n_stations
@@ -627,7 +625,7 @@ def kkt_point_mp(x: Sequence[int], alpha: float, r: float, delta: float, dps: in
     from `_dual_solve`'s float answer, so no rounding floor of the double
     recursion gets in.  Returns the powers as floats, zero at empty stations.
     """
-    counts = _as_counts(x)
+    counts = _as_counts(x, len(x))
     n = len(counts)
     active = [j for j in range(n) if counts[j] > 0]
     start, _ = _dual_solve(counts, FairnessSpec(alpha), NetworkConfig(n, r, delta))
@@ -736,7 +734,7 @@ def fairness_utility(
     rates: "PowerAllocation | Sequence[float]", x: Sequence[int], alpha: float
 ) -> float:
     """Aggregate utility sum_j x_j U_alpha(p_j / x_j); empty stations are skipped."""
-    counts = _as_counts(x)
+    counts = _as_counts(x, len(x))
     powers = tuple(float(v) for v in rates)
     if len(powers) != len(counts):
         raise ValueError("rates and queue lengths must have matching length")

@@ -231,6 +231,13 @@ class TestAllocateCmd:
             assert float(row[2]) == pytest.approx(want, rel=1e-12)
         assert abs(float(rows[3][2])) < 1e-9
 
+    def test_lindist_binding_split_has_zero_slack(self, capsys):
+        # the split spends the headroom exactly; taking 1 off w_limit after
+        # the drop would leave an ulp of cancellation
+        rows = _run(capsys, "allocate", "--x", "3,0,1,2", "--delta", "0.01",
+                    "--model", "lindist")
+        assert rows[-1] == ["slack", "", "0"]
+
     def test_distflow_is_the_default_model(self, capsys):
         rows = _run(capsys, "allocate", "--x", "1,2,1", "--delta", "0.2",
                     "--alpha", "2.0")
@@ -333,6 +340,14 @@ class TestSimulateCmd:
     def test_infinite_multiplier_exits_2_naming_finite(self, capsys):
         err = _exits_2(capsys, "simulate", "--n", "3", "--delta", "0.1", "--mult", "inf")
         assert "multipliers must be positive and finite, got inf" in err
+
+    def test_overflowing_run_length_names_the_rate(self, capsys):
+        # at r = 1e307 the rate is 1.95e-309 and 1.05 min_events / (N rate)
+        # overflows; the user set no horizon
+        err = _exits_2(capsys, "simulate", "--n", "3", "--delta", "0.1", "--r", "1e307",
+                       "--events", "2000", "--replications", "1", "--mult", "0.5")
+        assert "arrival rate" in err and "min_events = 2000" in err
+        assert "horizon" not in err
 
     def test_horizon_is_not_a_flag(self, capsys):
         _exits_2(capsys, "simulate", "--n", "2", "--delta", "0.2", "--horizon", "1")

@@ -453,6 +453,9 @@ class TestStabilityProbe:
         for bad in (0, -5):
             with pytest.raises(ValueError, match="min_events must be >= 1"):
                 stability_probe(base, (0.5,), replications=1, min_events=bad)
+        # 1.05 min_events / (N lambda) overflows at a rate this small
+        with pytest.raises(ValueError, match=r"min_events = 100 at arrival rate 5e-309"):
+            stability_probe(_cfg(arrival_rate=1e-308), (0.5,), replications=1, min_events=100)
 
 
 class TestMonotoneLoadResponse:

@@ -1,6 +1,7 @@
 """Special-function layer: the erfi series, its inversions, and f0."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -82,6 +83,16 @@ class TestUInverse:
     def test_residual_definition(self, x):
         u = u_inverse(x)
         assert SQRT_HALF_PI * erfi(u) == pytest.approx(x, rel=1e-12)
+
+    def test_smallest_residual_of_neighbours(self):
+        # neither neighbouring double of u fits erfi(u) = x sqrt(2/pi) better
+        rng = random.Random(1)
+        xs = [10.0] + [10.0 ** rng.uniform(-3.0, 2.0) for _ in range(500)]
+        for x in xs:
+            u = u_inverse(x)
+            best = abs(SQRT_HALF_PI * erfi(u) - x)
+            for v in (math.nextafter(u, 0.0), math.nextafter(u, math.inf)):
+                assert best <= abs(SQRT_HALF_PI * erfi(v) - x), f"x={x!r}"
 
     @given(st.floats(min_value=0.0, max_value=50.0))
     def test_below_linear_bound(self, x):
