@@ -17,8 +17,9 @@ or, on the voltage magnitudes themselves,
 Every pass evaluates it literally, left to right, in plain doubles: the
 tables pin its digits, rounding noise included, so the digits are
 reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
-Two passes run it here: the adjoint pass `_root_voltage_and_gradient`,
-which `voltage_slack` and the allocator call, and the uniform-load pass of
+r enters only through the loads q = r p, so both passes run on unit
+resistance: the adjoint pass `_root_voltage_and_gradient` on q, which
+`voltage_slack` and the allocator call, and the uniform-load pass of
 `distflow_sensitivity`, which the threshold solver calls.
 
 The linearized model drops the quadratic line-loss term and fixes the
@@ -137,7 +138,7 @@ def voltage_slack(
             f"allocation has {len(powers)} entries for {cfg.n_stations} stations"
         )
     if model is PowerModel.DISTFLOW:
-        v_n = _root_voltage_and_gradient(powers, cfg.resistance)[0]
+        v_n = _root_voltage_and_gradient([cfg.resistance * v for v in powers])[0]
         return cfg.w_limit - v_n**2
     if model is PowerModel.LINDIST:
         # collapsed load moment sum_m (N - m) p[m] of the linearized drop
@@ -156,7 +157,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
         T[j+1] = 2 T[j] - T[j-1] + 1 / V[j] - s T[j] / V[j]^2,  s = a / n^2,
 
     with T[0] = 0 and T[1] = 1.  V[n] has the bits of
-    `_root_voltage_and_gradient` on loads s with r = 1, and Y[n] is the sum
+    `_root_voltage_and_gradient` on loads s, and Y[n] is the sum
     of that gradient to within 2e-14 n relative.  Newton runs this pass 4 to 12
     times per threshold at n up to 10^5, where the adjoint pass, with its
     stored profile and gradient list, costs 1.4 to 1.8 times as much.
@@ -175,8 +176,8 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     return v, t
 
 
-def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float, list[float]]:
-    """Unvalidated fused pass: V[N] and its gradient as a plain list.
+def _root_voltage_and_gradient(q: Sequence[float]) -> tuple[float, list[float]]:
+    """Unvalidated fused pass on the loads q = r p: V[N] and dV[N]/dq.
 
     The allocator's binding solve calls it on its start (a warm solve
     reuses the one its predecessor returned), on the point it returns and,
@@ -184,19 +185,19 @@ def _root_voltage_and_gradient(powers: Sequence[float], r: float) -> tuple[float
     only V[N].
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
-    g[j] = a r / V[j] and a <- (2 - r p[j] / V[j]^2) a - a_prev.
+    g[j] = a / V[j] and a <- (2 - q[j] / V[j]^2) a - a_prev.
     """
-    n = len(powers)
+    n = len(q)
     v = [0.0] * (n + 1)
     v[0] = 1.0
-    v[1] = 1.0 + r * powers[0]
+    v[1] = 1.0 + q[0]
     for j in range(1, n):
-        v[j + 1] = 2.0 * v[j] - v[j - 1] + r * powers[j] / v[j]
+        v[j + 1] = 2.0 * v[j] - v[j - 1] + q[j] / v[j]
     g = [0.0] * n
     a, a_prev = 1.0, 0.0  # dV[N]/dV[j+1] and dV[N]/dV[j+2]
     for j in range(n - 1, 0, -1):
         vj = v[j]
-        g[j] = a * r / vj
-        a, a_prev = (2.0 - r * powers[j] / (vj * vj)) * a - a_prev, a
-    g[0] = a * r  # V[1] = 1 + r p[0]
+        g[j] = a / vj
+        a, a_prev = (2.0 - q[j] / (vj * vj)) * a - a_prev, a
+    g[0] = a  # V[1] = 1 + q[0]
     return v[n], g

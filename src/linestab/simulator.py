@@ -34,6 +34,7 @@ from .allocator import (
     FairnessSpec,
     _binding_solve,
     _lin_weights,
+    _powers,
     _range_error,
 )
 from .powerflow import NetworkConfig, PowerModel
@@ -142,18 +143,18 @@ def _make_allocator(
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
     Linearized allocations are a closed form and get evaluated inline.
-    Distflow allocations go through the binding solve.  Solved states are
-    cached under their occupancy, the first 200,000 of them whether or not
-    they recur, and the cache starts out holding the empty feeder's zero
-    split.  A miss warm-starts from the last solve's return, typically one
-    vehicle away: its powers, and the V_N and adjoint gradient it took on
-    them, from which the solve shoots.  A hit, the empty feeder included,
-    leaves that hint as it is.  Either model raises AllocationError,
-    naming alpha, on a state whose split leaves the doubles: a weight
-    power out of double range is stored as inf, so it fails only the
-    states that occupy its station.  Distflow raises one naming its last
-    residuals where the solve does not settle; an empty feeder draws no
-    power.
+    Distflow allocations go through the binding solve and `_powers`.
+    Solved states are cached under their occupancy, the first 200,000 of
+    them whether or not they recur, and the cache starts out holding the
+    empty feeder's zero split.  A miss warm-starts from the last solve's
+    return, typically one vehicle away: its loads, and the V_N and adjoint
+    gradient it took on them, from which the solve shoots.  A hit, the
+    empty feeder included, leaves that hint as it is.  Either model raises
+    AllocationError, naming alpha, on a state whose split leaves the
+    doubles: a weight power out of double range is stored as inf, so it
+    fails only the states that occupy its station.  Distflow raises one
+    naming its last residuals, or a station's power, where the solve does
+    not settle or its power is not a normal double.
     """
     n = net.n_stations
     alpha = spec.alpha
@@ -187,7 +188,7 @@ def _make_allocator(
         return solve_lin
 
     cache: dict[tuple[int, ...], tuple[list[float], float]] = {(0,) * n: ([0.0] * n, 0.0)}
-    hint = None  # the last _binding_solve return: powers, V_N, gradient
+    hint = None  # the last _binding_solve return: loads, V_N, gradient
 
     def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
         nonlocal hint
@@ -196,7 +197,7 @@ def _make_allocator(
         if hit is not None:
             return hit
         hint = _binding_solve(key, spec, net, hint)
-        p = list(hint[0])
+        p = _powers(key, hint[0], net.resistance, alpha)
         entry = (p, math.fsum(p))
         if len(cache) < 200_000:  # states mostly repeat near the origin
             cache[key] = entry

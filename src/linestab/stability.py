@@ -183,10 +183,10 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     delta = 0.01; larger delta does better.
 
     Raises NewtonFailure after ITERATION_CAP iterations, or when the
-    accepted residual exceeds 1e-6 of the headroom delta/(1 - delta), the
-    rise V_N makes over V_0 = 1; at tiny delta the rounding floor of the
-    cap itself lies past that bound, and the threshold fails there rather
-    than print a wrong root.
+    accepted residual plus the cap's rounding exceeds 1e-6 of the headroom
+    delta/(1 - delta), the rise V_N makes over V_0 = 1; at tiny delta the
+    rounding of V_N or of the cap itself lies past that bound, and the
+    threshold fails there rather than print a wrong root.
     """
     _check_delta(delta)
 
@@ -256,10 +256,12 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
             trace,
         )
     headroom = delta / (1.0 - delta)
-    if abs(residuals[-1]) > 1e-6 * headroom:
+    cap_error = abs((target - 1.0) - headroom)
+    if abs(residuals[-1]) + cap_error > 1e-6 * headroom:
         raise NewtonFailure(
-            f"accepted residual {residuals[-1]:.3g} exceeds 1e-6 of the headroom "
-            f"delta/(1 - delta) = {headroom:.3g} (n = {n}, delta = {delta:g})",
+            f"accepted residual {residuals[-1]:.3g} plus the cap's rounding "
+            f"{cap_error:.3g} exceeds 1e-6 of the headroom delta/(1 - delta) = "
+            f"{headroom:.3g} (n = {n}, delta = {delta:g})",
             trace,
         )
     return trace

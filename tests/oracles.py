@@ -97,7 +97,13 @@ def distflow_gradient(p: "PowerAllocation | Sequence[float]", r: float) -> tuple
     powers = _as_powers(p)
     if not powers:
         return ()
-    return tuple(_root_voltage_and_gradient(powers, r)[1])
+    return tuple(_voltage_and_gradient(powers, r)[1])
+
+
+def _voltage_and_gradient(p, r):
+    """V[N] and dV[N]/dp: the package's pass on the loads r p, times r."""
+    v_n, g = _root_voltage_and_gradient([r * x for x in p])
+    return v_n, [r * x for x in g]
 
 
 def distflow_gradient_forward(powers, r):
@@ -438,7 +444,7 @@ def _stationarity_sweep(
     n = len(p)
     theta = {j: 1.0 for j in active}
     logt = [0.0] * n
-    v_n, grad = _root_voltage_and_gradient(p, r)
+    v_n, grad = _voltage_and_gradient(p, r)
     shrink = 0
     while not math.isfinite(v_n) or any(grad[j] <= 0.0 for j in active):
         shrink += 1
@@ -446,7 +452,7 @@ def _stationarity_sweep(
             raise _RecursionOverflow
         for j in active:
             p[j] *= 0.0625
-        v_n, grad = _root_voltage_and_gradient(p, r)
+        v_n, grad = _voltage_and_gradient(p, r)
     logp = [math.log(p[j]) if counts[j] > 0 else 0.0 for j in range(n)]
     prev_lp: "list[float] | None" = None
     prev_lt: "list[float] | None" = None
@@ -478,7 +484,7 @@ def _stationarity_sweep(
                     step = -4.0
                 trial_lp[j] += scale * theta[j] * step
             trial_p = [math.exp(lp) if counts[j] > 0 else 0.0 for j, lp in enumerate(trial_lp)]
-            v_try, g_try = _root_voltage_and_gradient(trial_p, r)
+            v_try, g_try = _voltage_and_gradient(trial_p, r)
             if math.isfinite(v_try) and all(g_try[j] > 0.0 for j in active):
                 logp, p, v_n, grad = trial_lp, trial_p, v_try, g_try
                 break

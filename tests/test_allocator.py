@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,8 +267,8 @@ class TestDistflowAllocator:
         # from zero load solves the state
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(1.0)
-        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3, cfg))
-        assert (v_n, grad) == _root_voltage_and_gradient(list(p), cfg.resistance)
+        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))
+        assert (v_n, grad) == _root_voltage_and_gradient(list(p))
         want, _ = _dual_solve((1, 2, 3), spec, cfg)
         for a, b in zip(p, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
@@ -330,19 +331,19 @@ def _last_residual(message: str) -> tuple[float, float]:
     return float(found[1]), float(found[2])
 
 
-def _hint(p, cfg):
-    """A binding-solve hint made from bare powers, as the solve returns it."""
-    return (tuple(p), *_root_voltage_and_gradient(p, cfg.resistance))
+def _hint(q):
+    """A binding-solve hint made from bare loads, as the solve returns it."""
+    return (tuple(q), *_root_voltage_and_gradient(q))
 
 
 def _count_gradients(monkeypatch) -> list:
-    """Record the powers of every adjoint gradient the allocator takes."""
+    """Record the loads of every adjoint gradient the allocator takes."""
     calls = []
     gradient = allocator._root_voltage_and_gradient
 
-    def spy(p, r):
-        calls.append(tuple(p))
-        return gradient(p, r)
+    def spy(q):
+        calls.append(tuple(q))
+        return gradient(q)
 
     monkeypatch.setattr(allocator, "_root_voltage_and_gradient", spy)
     return calls
@@ -372,7 +373,7 @@ def _spy_targets(monkeypatch) -> list:
     shot = allocator._damped_shot
 
     def spy(*args):
-        targets.append(args[4])
+        targets.append(args[3])
         return shot(*args)
 
     monkeypatch.setattr(allocator, "_damped_shot", spy)
@@ -401,9 +402,9 @@ class TestWarmChain:
             x[j] += -1 if x[j] > 0 and rng.random() < 0.5 else 1
             before = (len(shots), len(gradients))
             solved = _binding_solve(tuple(x), spec, cfg, solved)
-            p = solved[0]
-            # the returned V_N and gradient are the adjoint pass on p itself
-            assert solved[1:] == _root_voltage_and_gradient(list(p), cfg.resistance)
+            # the returned V_N and gradient are the adjoint pass on the loads
+            assert solved[1:] == _root_voltage_and_gradient(list(solved[0]))
+            p = [q / cfg.resistance for q in solved[0]]
             if x[j] > 0 and len(shots) > before[0] and shots[before[0]] is not None:
                 # no station emptied: the hint's gradient starts the shot,
                 # and only the closing one is taken
@@ -431,12 +432,12 @@ class TestWarmChain:
         spec = FairnessSpec(1.0)
         hint = _binding_solve(hint_from, spec, cfg)
         shots = _spy_shooting(monkeypatch)
-        warm, v_n, grad = _binding_solve(x, spec, cfg, hint)
+        loads, v_n, grad = _binding_solve(x, spec, cfg, hint)
         assert len(shots) == (len(x) > 1)
-        assert (v_n, grad) == _root_voltage_and_gradient(list(warm), cfg.resistance)
+        assert (v_n, grad) == _root_voltage_and_gradient(list(loads))
         want, _ = _dual_solve(x, spec, cfg)
-        for a, b in zip(warm, want):
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+        for a, b in zip(loads, want):
+            assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def test_hint_whose_costate_overflows_pow_falls_back(self, monkeypatch):
         # gradient ratios near 1e-151 raised to 1/alpha = 3.3 overflow a
@@ -445,7 +446,7 @@ class TestWarmChain:
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(0.3)
         targets = _spy_targets(monkeypatch)
-        p = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10], cfg))[0]
+        p = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10]))[0]
         assert targets[:2] == [cfg.v_limit, 1.0 + 0.125 * (cfg.v_limit - 1.0)]
         assert targets[-1] == cfg.v_limit
         want, _ = _dual_solve((1, 1, 1), spec, cfg)
@@ -465,7 +466,7 @@ class TestWarmChain:
         x = (40, 0, 25, 60, 10, 30)
         carried = _binding_solve(x, spec, cfg, hint)
         assert gradients[0] == tuple(kept)
-        fresh = _binding_solve(x, spec, cfg, _hint(kept, cfg))
+        fresh = _binding_solve(x, spec, cfg, _hint(kept))
         assert None not in shots
         assert repr(carried) == repr(fresh)
 
@@ -482,10 +483,11 @@ class TestWarmChain:
         cfg, spec, hint, x = self._newly_occupied()
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
-        p = _binding_solve(x, spec, cfg, hint)[0]
+        q = _binding_solve(x, spec, cfg, hint)[0]
         # the hint's own gradient starts the shot; only the closing one is taken
         assert len(shots) == 1 and shots[0] is not None
-        assert gradients == [p]
+        assert gradients == [q]
+        p = [v / cfg.resistance for v in q]
         slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
         assert abs(slack) <= 1e-9
         want, _ = _dual_solve(x, spec, cfg)
@@ -507,14 +509,17 @@ class TestColdStart:
 
     @pytest.mark.parametrize("x,alpha,cfg", CASES)
     def test_shoots_once_on_two_gradients(self, monkeypatch, x, alpha, cfg):
+        # the solve runs on unit resistance, where the loads are the powers
         spec = FairnessSpec(alpha)
-        seed = alpha_fair_lindist(x, spec, cfg).p
+        unit = replace(cfg, resistance=1.0)
+        seed = alpha_fair_lindist(x, spec, unit).p
+        loads = alpha_fair_distflow(x, spec, unit).p
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
-        p = alpha_fair_distflow(x, spec, cfg).p
+        alpha_fair_distflow(x, spec, cfg)
         assert len(shots) == 1 and shots[0] is not None
         # one gradient on the seed starts the shot, one on the answer ends it
-        assert gradients == [seed, p]
+        assert gradients == [seed, loads]
 
 
 
@@ -577,8 +582,8 @@ class TestTinyAlpha:
 
     @pytest.mark.parametrize("r", [1.0, 0.1])
     def test_distflow(self, r):
-        # r = 1: the zero-load start's powers leave the doubles; r = 0.1:
-        # w < 1, so the closed-form seed overflows
+        # the zero-load start's loads leave the doubles; the solve runs on
+        # unit resistance, so r = 0.1 fails just as r = 1 does
         cfg = NetworkConfig(3, r, 0.1)
         with pytest.raises(AllocationError, match="alpha = 0.001"):
             alpha_fair_distflow([1, 1, 1], self.SPEC, cfg)
@@ -589,8 +594,59 @@ class TestTinyAlpha:
     )
     def test_damped_shot_without_a_start_in_the_floats_gives_none(self, grad):
         # (g_1 / g_0)^(-1000) overflows, or g_1 / g_0 underflows to 0
-        args = ((1, 1), [0, 1], 1000.0, 1.0, 1.1, [0.0, 0.0], 1.0, grad)
+        args = ((1, 1), [0, 1], 1000.0, 1.1, [0.0, 0.0], 1.0, grad)
         assert allocator._damped_shot(*args) is None
+
+
+class TestDampedShotStart:
+    """`_damped_shot` gives no start, and shoots nothing, where the start's
+    gradient or linearized V_N gives no multiplier."""
+
+    @pytest.mark.parametrize("g1", [0.0, -1.0, math.nan])
+    def test_active_station_without_a_positive_gradient_gives_none(self, monkeypatch, g1):
+        shots = []
+        monkeypatch.setattr(allocator, "_shoot", lambda *args: shots.append(args))
+        args = ((1, 1), [0, 1], 1.0, 1.1, [0.0, 0.0], 1.0, [2.0, g1])
+        assert allocator._damped_shot(*args) is None
+        assert shots == []
+
+    @pytest.mark.parametrize(
+        "target,v_n,grad",
+        [(1.1, 1.2, [2.0, 1.0]), (1e300, 1.0, [1e-300, 1e-300])],
+        ids=["lift-not-positive", "slope-over-lift-underflows"],
+    )
+    def test_lift_or_slope_out_of_range_gives_none(self, monkeypatch, target, v_n, grad):
+        # V_N already past the target leaves no lift; a lift of 1e300 over
+        # a slope of 2e-300 leaves log c no double to take
+        shots = []
+        monkeypatch.setattr(allocator, "_shoot", lambda *args: shots.append(args))
+        args = ((1, 1), [0, 1], 1.0, target, [0.0, 0.0], v_n, grad)
+        assert allocator._damped_shot(*args) is None
+        assert shots == []
+
+
+class TestUnitResistance:
+    """Every Distflow solve runs on unit resistance; r only divides the
+    loads it returns."""
+
+    @settings(max_examples=60)
+    @given(
+        x=st.lists(st.integers(0, 6), min_size=1, max_size=6).filter(any),
+        alpha=st.sampled_from(ALPHAS),
+        delta=st.floats(0.01, 0.5),
+        log_r=st.floats(-307.0, 308.0),
+    )
+    def test_powers_are_the_unit_powers_over_r(self, x, alpha, delta, log_r):
+        r = 10.0**log_r
+        spec = FairnessSpec(alpha)
+        unit = alpha_fair_distflow(x, spec, NetworkConfig(len(x), 1.0, delta)).p
+        want = tuple(v / r for v in unit)
+        cfg = NetworkConfig(len(x), r, delta)
+        if all(2.2250738585072014e-308 <= v < math.inf for v, xj in zip(want, x) if xj):
+            assert alpha_fair_distflow(x, spec, cfg).p == want
+        else:
+            with pytest.raises(AllocationError, match="is not a normal double"):
+                alpha_fair_distflow(x, spec, cfg)
 
 
 class TestShootValues:
@@ -598,16 +654,15 @@ class TestShootValues:
     @given(
         counts=st.lists(st.sampled_from((0, 0, 1, 2, 5, 40, 300)), min_size=1, max_size=30),
         alpha=st.floats(0.25, 4.0),
-        r=st.floats(0.2, 3.0),
         beta=st.floats(0.0, 1.2),
         ell=st.floats(-5.0, 30.0),
     )
-    @example(counts=[0, 3, 0, 2], alpha=1.0, r=1.0, beta=-0.5, ell=0.0)  # both None
-    @example(counts=[2, 0, 1, 1], alpha=0.25, r=0.2, beta=0.7, ell=3.0)
-    def test_values_match_shoot_bit_for_bit(self, counts, alpha, r, beta, ell):
-        # the tangents never feed the powers, V_N or the costate ratio;
+    @example(counts=[0, 3, 0, 2], alpha=1.0, beta=-0.5, ell=0.0)  # both None
+    @example(counts=[2, 0, 1, 1], alpha=0.25, beta=0.7, ell=3.0)
+    def test_values_match_shoot_bit_for_bit(self, counts, alpha, beta, ell):
+        # the tangents never feed the loads, V_N or the costate ratio;
         # repr tells every bit of a double apart
-        args = (tuple(counts), 1.0 / alpha, r, beta, ell)
+        args = (tuple(counts), 1.0 / alpha, beta, ell)
         try:
             shot = allocator._shoot(*args)
         except ArithmeticError as exc:

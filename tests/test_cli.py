@@ -115,6 +115,15 @@ class TestThresholds:
         assert "distflow" not in captured.out
         assert "1e-6 of the headroom" in captured.err
 
+    @pytest.mark.parametrize("n,delta", [("1", "1e-300"), ("10", "1e-17")])
+    def test_cap_that_rounds_to_one_is_a_solver_failure(self, capsys, n, delta):
+        # 1/(1 - delta) is 1.0 in doubles, so V_N meets it with residual 0;
+        # 2e-300 and 2e-17 used to print, the cap's rounding now fails them
+        assert main(["thresholds", "--n", n, "--delta", delta, "--model", "distflow"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"accepted residual 0 plus the cap's rounding {delta}" in captured.err
+
     def test_subnormal_resistance_exits_2(self, capsys):
         # every rate would print as inf: 3/r leaves the doubles
         err = _exits_2(capsys, "thresholds", "--n", "3", "--delta", "0.5", "--r", "1e-320")
@@ -258,6 +267,29 @@ class TestAllocateCmd:
         err = _exits_2(capsys, "allocate", "--x", "1,2", "--delta", "0.1",
                        "--r", "1e-320", "--model", model)
         assert "resistance must be a positive normal double" in err
+
+    @pytest.mark.parametrize("r", ["1e-170", "1e-300", "1e300"])
+    @pytest.mark.parametrize("alpha", ["2", "0.5"])
+    def test_distflow_powers_at_extreme_resistance_are_the_unit_ones_over_r(
+        self, capsys, r, alpha
+    ):
+        # the solve runs on unit resistance, so p(r) = p(1) / r bit for bit
+        argv = ["allocate", "--x", "3,0,1,2", "--delta", "0.15", "--alpha", alpha]
+        rows = _run(capsys, *argv, "--r", r)
+        assert abs(float(rows[-1][2])) <= 1e-9
+        spec = FairnessSpec(float(alpha))
+        unit = alpha_fair_distflow((3, 0, 1, 2), spec, NetworkConfig(4, 1.0, 0.15)).p
+        got = alpha_fair_distflow((3, 0, 1, 2), spec, NetworkConfig(4, float(r), 0.15)).p
+        assert got == tuple(v / float(r) for v in unit)
+
+    def test_subnormal_distflow_power_is_a_solver_failure_naming_it(self, capsys):
+        # p(1) / 1e308 is 2.87e-310 at station 0, below the normal doubles
+        code = main(["allocate", "--x", "3,0,1,2", "--delta", "0.15", "--alpha", "2",
+                     "--r", "1e308", "--model", "distflow"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "station 0's power 2.8667265212506e-310 at r = 1e+308, alpha = 2.0" in err
+        assert "is not a normal double" in err
 
     def test_infinite_alpha_exits_2_naming_finite(self, capsys):
         err = _exits_2(capsys, "allocate", "--x", "1,2", "--delta", "0.1", "--alpha", "inf")

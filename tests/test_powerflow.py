@@ -102,7 +102,7 @@ class TestDistflowRoutes:
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-13)
             # the package keeps only V[N] of the same literal recursion
-            assert _root_voltage_and_gradient(p, r)[0] == got[-1]
+            assert _root_voltage_and_gradient([r * x for x in p])[0] == got[-1]
 
     def test_three_routes_agree(self, rng):
         for _ in range(40):
@@ -113,7 +113,7 @@ class TestDistflowRoutes:
             for x, y, z in zip(a.v, b.v, c.v):
                 assert x == pytest.approx(y, rel=5e-13)
                 assert x == pytest.approx(z, rel=5e-13)
-            v_n = _root_voltage_and_gradient(p, r)[0]
+            v_n = _root_voltage_and_gradient([r * x for x in p])[0]
             assert v_n == pytest.approx(b.root_end, rel=5e-13)
             assert v_n == pytest.approx(c.root_end, rel=5e-13)
             # the off-diagonal track of the squared form is the product of
@@ -366,7 +366,7 @@ def _onto_boundary(d, cfg):
     cap, so that s brackets the boundary from above."""
     lo, hi = 0.0, cfg.w_headroom / math.fsum(d)
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if _root_voltage_and_gradient([mid * x for x in d], 1.0)[0] <= cfg.v_limit:
+        if _root_voltage_and_gradient([mid * x for x in d])[0] <= cfg.v_limit:
             lo = mid
         else:
             hi = mid
@@ -441,7 +441,7 @@ class TestSensitivity:
         v, y = distflow_sensitivity_profile(a, n)
         got = distflow_sensitivity(a, n)
         assert got == (v[n], y[n])
-        v_n, grad = _root_voltage_and_gradient([a / (n * n)] * n, 1.0)
+        v_n, grad = _root_voltage_and_gradient([a / (n * n)] * n)
         assert got[0] == v_n
         assert got[1] == pytest.approx(math.fsum(grad), rel=2e-14 * max(n, 50))
 

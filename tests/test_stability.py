@@ -149,6 +149,12 @@ class TestNewton:
         assert trace.a_final == pytest.approx(delta / (1.0 - delta), rel=2e-15)
         assert trace.iterations <= 2
 
+    def test_cap_that_rounds_past_the_tolerance_is_a_failure(self):
+        # 1/(1 - 1e-12) rounds 8.9e-17 off 1 + 1e-12, which is 89 millionths
+        # of the headroom; the root used to come back 1.3e-4 too high
+        with pytest.raises(NewtonFailure, match=r"plus the cap's rounding 8\.89e-17"):
+            newton_solve_a(1, 1e-12)
+
 
 class TestThresholdRoot:
     """newton_solve_a against the mpmath root, and on its whole domain."""
