@@ -12,14 +12,21 @@ takes --seed (default 0).  Input checks live in the library, whose
 ValueError maps to exit 2.  Without --out the CSV goes to stdout and no
 manifest is written.
 
-Exit codes: 0 success, 2 flag validation, 3 solver failure, 4 simulation
-abort.  Exit 4 covers every allocator failure during `simulate`: the
-message names the replication, the multiplier, the time and the state.
+Exit codes: 0 success, 2 flag validation or an --out file that cannot be
+written, 3 solver failure, 4 simulation abort.  Exit 4 covers every
+allocator failure during `simulate`: the message names the replication, the
+multiplier, the time and the state.
+
+The parser is built on the first `main` call and reused by every later one
+in the process.  The handlers look the library functions up as module
+globals at call time, so a wrapper or test double set on this module is the
+one they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -66,6 +73,14 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _save(path: "Path | str", text: str, out: str) -> None:
+    """Write text to path, one of the files of --out ``out``; a failure exits 2."""
+    try:
+        Path(path).write_text(text, encoding="ascii", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
 def _write_output(
     args: argparse.Namespace, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
@@ -74,15 +89,15 @@ def _write_output(
         sys.stdout.write(text)
         return
     out = Path(args.out)
-    out.write_text(text, encoding="ascii", newline="")
+    _save(out, text, args.out)
     parameters = {
         key.replace("_", "-"): _param(value)
         for key, value in vars(args).items()
         if key not in ("command", "func", "out") and value is not None
     }
     manifest = {"command": args.command, "parameters": parameters, "tool_version": __version__}
-    Path(f"{out}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii", newline=""
+    _save(
+        f"{out}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.out
     )
 
 
@@ -227,9 +242,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         for i, row in enumerate(probe):
             rep = row.reports[0]
             text = _csv(["time", "total_queue"], zip(rep.time_grid, rep.total_queue))
-            Path(f"{args.out}.traj{i}.csv").write_text(text, encoding="ascii", newline="")
+            _save(f"{args.out}.traj{i}.csv", text, args.out)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linestab",
