@@ -2,9 +2,11 @@
 
 Commands run in-process through main(argv); stdout is parsed back as CSV
 and compared against the library calls the commands wrap.  Flag validation
-must exit 2, solver failures 3, simulation aborts 4, and the --out path
-must produce a manifest sidecar whose replay reproduces the CSV byte for
-byte.  Only `simulate` takes --seed.
+and an --out that cannot be written must exit 2, solver failures 3,
+simulation aborts 4, and the --out path must produce a manifest sidecar
+whose replay reproduces the CSV byte for byte.  Only `simulate` takes
+--seed.  The parser is built once a process; a second pass over the same
+commands prints the same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ from linestab.stability import (
     ratio_P,
 )
 from oracles import distflow_voltages
+
+
+def _env_with_src() -> dict:
+    """The environment, with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def _run(capsys, *argv: str) -> list[list[str]]:
@@ -414,14 +423,17 @@ class TestSimulateCmd:
         assert "simulation abort" in capsys.readouterr().err
 
 
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
 def _recorded_flags(argv: list[str]) -> set[str]:
     """Flags of argv's subcommand, bar --out, that parse to a value."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    args = _build_parser().parse_args(argv)
     return {
         action.option_strings[0][2:]
-        for action in sub.choices[argv[0]]._actions
+        for action in _subcommand(argv[0])._actions
         if action.option_strings
         and action.dest not in ("help", "out")
         and getattr(args, action.dest) is not None
@@ -527,6 +539,42 @@ class TestManifest:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnwritableOut:
+    """An --out file that cannot be written exits 2 naming --out, before or
+    after the work, and leaves no sidecar behind."""
+
+    COMMANDS = {
+        "thresholds": ["thresholds", "--n", "10", "--delta", "0.1"],
+        "simulate": ["simulate", "--n", "2", "--delta", "0.2", "--mult", "0.8",
+                     "--replications", "1", "--events", "200"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_directory_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "no" / "such" / "run.csv"
+        err = _exits_2(capsys, *self.COMMANDS[command], "--out", str(out))
+        assert err == f"linestab: error: cannot write --out '{out}': No such file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_directory_path_exits_2(self, tmp_path, capsys, command):
+        err = _exits_2(capsys, *self.COMMANDS[command], "--out", str(tmp_path))
+        assert err == f"linestab: error: cannot write --out '{tmp_path}': Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_prints_no_traceback(self, tmp_path):
+        out = tmp_path / "no" / "run.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "linestab", *self.COMMANDS["thresholds"], "--out", str(out)],
+            env=_env_with_src(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"linestab: error: cannot write --out '{out}': No such file or directory\n"
+        )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -557,13 +605,63 @@ class TestCsvFormat:
         assert "." in out.split("\n")[1]
 
 
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it: a second pass
+    over successes, usage errors, help and failures prints the same bytes and
+    exits the same way, and builds no parser."""
+
+    SEQUENCE = [
+        ["thresholds", "--n", "10", "--delta", "0.1"],
+        ["newton", "--a", "0.05", "--n", "10,100"],
+        ["ratio", "--delta", "0.1,0.5"],
+        ["converge", "--a", "0.05", "--n", "10"],
+        ["allocate", "--x", "3,0,1", "--delta", "0.15"],
+        ["simulate", "--n", "2", "--delta", "0.2", "--replications", "1", "--events", "200"],
+        ["thresholds", "--n", "10"],
+        ["--help"],
+        ["allocate", "--help"],
+        ["allocate", "--x", "1,,2", "--delta", "0.1"],
+        ["thresholds", "--n", "10", "--delta", "1e-17"],
+    ]
+    CODES = [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 3]
+
+    @classmethod
+    def _pass(cls, capsys) -> list[tuple]:
+        outcomes = []
+        for argv in cls.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    def test_second_pass_repeats_the_first_and_builds_no_parser(self, capsys, monkeypatch):
+        first = self._pass(capsys)
+        assert [code for code, _, _ in first] == self.CODES
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert self._pass(capsys) == first
+        assert built == []
+
+    def test_a_run_leaves_the_default_multipliers_alone(self, capsys):
+        assert main(self.SEQUENCE[5]) == 0
+        capsys.readouterr()
+        assert _subcommand("simulate").get_default("mult") == [1.0]
+
+
 class TestNumpyLoad:
     """Only `simulate` loads numpy: the thresholds, allocations and error
     tables need the standard library alone.  Each check runs in a fresh
     interpreter, since this process already holds numpy through the oracles,
     hypothesis and scipy."""
-
-    SRC = str(Path(cli.__file__).resolve().parent.parent)
 
     def _loads_numpy(self, *commands: list[str]) -> bool:
         script = (
@@ -576,9 +674,7 @@ class TestNumpyLoad:
             "        assert cli.main(argv) == 0, argv\n"
             "print('numpy' in sys.modules)\n"
         )
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=self.SRC + (os.pathsep + path if path else ""))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=_env_with_src(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return {"True": True, "False": False}[done.stdout.strip()]
