@@ -608,7 +608,7 @@ class TestCsvFormat:
 class TestParserReuse:
     """main builds its parser on the first call and reuses it: a second pass
     over successes, usage errors, help and failures prints the same bytes and
-    exits the same way, and builds no parser."""
+    exits the same way, builds no parser and leaves the defaults alone."""
 
     SEQUENCE = [
         ["thresholds", "--n", "10", "--delta", "0.1"],
@@ -650,10 +650,7 @@ class TestParserReuse:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert self._pass(capsys) == first
         assert built == []
-
-    def test_a_run_leaves_the_default_multipliers_alone(self, capsys):
-        assert main(self.SEQUENCE[5]) == 0
-        capsys.readouterr()
+        # the shared parser hands its default list to every simulate run
         assert _subcommand("simulate").get_default("mult") == [1.0]
 
 
