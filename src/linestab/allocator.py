@@ -24,11 +24,14 @@ pinned by V_N = v_limit and b_{N+1} = 0, so Newton's method shoots on two
 unknowns for any N, each step one O(N) sweep that carries two tangent
 directions (Stoer & Bulirsch, Introduction to Numerical Analysis, 7.3).
 Once the residual is small, the next sweep first runs without its
-tangents, which only a further step would use.  A warm solve then takes
-one adjoint gradient, on the loads it returns, about 2.3 two-tangent
-sweeps and one value-only sweep; the gradient it returns starts the next
-solve.  A cold solve takes two gradients, about 3.1 two-tangent sweeps and
-one value-only sweep.
+tangents, which only a further step would use.  A cold solve takes two
+gradients, about 3.1 two-tangent sweeps and one value-only sweep.  A warm
+solve first steps on value-only sweeps with the Jacobian the previous
+solve ended with, corrected by Broyden's rank-one rule after each step,
+and hands over to Newton only where that stalls.  It takes one adjoint
+gradient, on the loads it returns, about 4.8 value-only sweeps and 0.03
+two-tangent sweeps; the gradient and Jacobian it returns start the next
+solve.
 
 Newton's steps are damped: a step that loses the costate sign, leaves
 the floats or does not lower the residual is halved, and a start whose
@@ -158,10 +161,17 @@ def _powers(counts: tuple[int, ...], q: Sequence[float], r: float, alpha: float)
     return p
 
 
+# the Jacobian of (V_N - target, costate ratio) in (b_2, log c), row by row
+_Jacobian = tuple[float, float, float, float]
 # a binding solve's loads, with the V_N and adjoint gradient taken on them
-_Solution = tuple[tuple[float, ...], float, list[float]]
+# and the Jacobian its shot ended with (None where nothing was shot)
+_Solution = tuple[tuple[float, ...], float, list[float], "_Jacobian | None"]
 
 _MAX_SHOTS = 20  # Newton steps before a shot gives up
+# a warm shot's quasi-Newton phase stops below this merit, and after this
+# many sweeps at most
+_BROYDEN_MERIT = 0.1
+_BROYDEN_SWEEPS = 12
 # residuals (|V_N - target| / target, |costate ratio| / its tolerance)
 # below which the next sweep is tried without its tangents first
 _NEAR_F1 = 3e-6
@@ -272,6 +282,76 @@ def _shoot_values(
     return q, v, b / b_prev
 
 
+def _broyden_shot(
+    counts: tuple[int, ...],
+    inv_alpha: float,
+    target: float,
+    beta: float,
+    ell: float,
+    jac: _Jacobian,
+    f1_tol: float,
+    f2_tol: float,
+) -> "tuple[tuple[list[float], float, float, _Jacobian] | None, float, float]":
+    """Quasi-Newton on (b_2, log c) from a carried Jacobian, on `_shoot_values` alone.
+
+    Each step solves with ``jac``, which is then corrected along the step
+    by Broyden's rank-one rule (Broyden, Math. Comp. 19, 1965; Dennis &
+    Schnabel, Numerical Methods for Unconstrained Optimization and
+    Nonlinear Equations, SIAM 1996, ch. 8).  The phase ends once the merit
+    |V_N - target| / f1_tol + |costate ratio| / f2_tol is below
+    _BROYDEN_MERIT, a sweep is not valid, the merit fails to halve, or
+    after _BROYDEN_SWEEPS sweeps.  It returns (settled, b_2, log c) of the
+    last sweep whose merit fell, the start if none did.  settled is
+    (loads, V_N, costate ratio, Jacobian) if that sweep passes the
+    residual test, |V_N - target| < f1_tol and |costate ratio| < f2_tol,
+    where a Newton step would stop at once, else None.  Its Jacobian is the
+    one in use when the test first passed: the steps after that are at
+    rounding level.
+    """
+    j11, j12, j21, j22 = jac
+    kept = None
+    best = math.inf
+    beta0, ell0 = beta, ell
+    for _ in range(_BROYDEN_SWEEPS):
+        try:
+            values = _shoot_values(counts, inv_alpha, beta, ell)
+        except (OverflowError, ZeroDivisionError):
+            break
+        if values is None:
+            break
+        f1 = values[1] - target
+        f2 = values[2]
+        merit = abs(f1) / f1_tol + abs(f2) / f2_tol
+        if not merit < 0.5 * best:
+            break
+        sb = beta - beta0
+        sl = ell - ell0
+        ss = sb * sb + sl * sl
+        if ss > 0.0:  # every sweep after the first
+            # J += (y - J s) s^T / (s^T s) for the step s and the change y in f
+            r1 = (f1 - f1_0 - j11 * sb - j12 * sl) / ss
+            r2 = (f2 - f2_0 - j21 * sb - j22 * sl) / ss
+            j11 += r1 * sb
+            j12 += r1 * sl
+            j21 += r2 * sb
+            j22 += r2 * sl
+        best = merit
+        beta0, ell0 = beta, ell
+        f1_0, f2_0 = f1, f2
+        accepted = values
+        if kept is None and abs(f1) < f1_tol and abs(f2) < f2_tol:
+            kept = (j11, j12, j21, j22)
+        if merit < _BROYDEN_MERIT:
+            break
+        det = j11 * j22 - j12 * j21
+        if not (det != 0.0 and math.isfinite(det)):
+            break
+        beta -= (f1 * j22 - f2 * j12) / det
+        ell -= (j11 * f2 - j21 * f1) / det
+    # the merit only falls, so once the test passed the last sweep passes it
+    return (None if kept is None else (*accepted, kept)), beta0, ell0
+
+
 def _damped_shot(
     counts: tuple[int, ...],
     active: list[int],
@@ -280,22 +360,27 @@ def _damped_shot(
     q: list[float],
     v_n: float,
     grad: list[float],
-) -> "tuple[bool, list[float] | None, float, float] | None":
+    jac: "_Jacobian | None" = None,
+) -> "tuple[bool, list[float] | None, float, float, _Jacobian | None] | None":
     """Damped Newton on (b_2, log c) for V_N = target and b_{N+1} = 0.
 
     Starts from loads q with V_N and the adjoint gradient g on them: g
     gives the costate, b_{j+1} / b_1 = g_j V_j / g_0, hence b_2 = g_1 V_1 /
     g_0, and log c puts the linearized V_N along that costate on target.
-    Each step is one `_shoot` sweep.  A sweep that is not valid, or does
-    not lower |V_N - target| / (1e-12 target) + |costate ratio| / f2_tol,
-    is retried up to 30 times: from the start with log c += 1/2 (smaller
-    loads), else with the step halved (Deuflhard, Newton Methods for
-    Nonlinear Problems, 2004, ch. 3).  Near the root (_NEAR_F1, _NEAR_F2)
-    the next sweep first runs as `_shoot_values`, and stops there if it
-    converges.  Converged once |V_N - target| < 1e-12 target and |costate
-    ratio| < f2_tol, or once a halved step no longer moves the unknowns.
-    Returns (converged, loads, V_N, costate ratio) of the last valid sweep
-    (nan if none), or None where g gives no start or the start's loads
+    Given a Jacobian ``jac`` (a warm solve), `_broyden_shot` runs first,
+    and Newton starts where it leaves off unsettled.  Each Newton step is
+    one `_shoot` sweep.  A sweep that is not valid, or does not lower
+    |V_N - target| / (1e-12 target) + |costate ratio| / f2_tol, is retried
+    up to 30 times: from the start with log c += 1/2 (smaller loads), else
+    with the step halved (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004, ch. 3).
+    Near the root (_NEAR_F1, _NEAR_F2) the next sweep first runs as
+    `_shoot_values`, and stops there if it converges.  Converged once
+    |V_N - target| < 1e-12 target and |costate ratio| < f2_tol, or once a
+    halved step no longer moves the unknowns.  Returns (converged, loads,
+    V_N, costate ratio) of the last valid sweep (nan if none) and a
+    Jacobian, the settled phase's or else the last valid `_shoot` sweep's
+    (None if none); or None where g gives no start or the start's loads
     leave the floats.
     """
     g0 = grad[0]
@@ -322,7 +407,14 @@ def _damped_shot(
     # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
     # cancellation; its tolerance follows that floor
     f2_tol = 4e-15 * max(len(counts) ** 2, 100)
+    if jac is not None:
+        settled, beta, ell = _broyden_shot(
+            counts, inv_alpha, target, beta, ell, jac, f1_tol, f2_tol
+        )
+        if settled is not None:
+            return (True, *settled)
     v_n = f2 = math.nan
+    jac = None
     best = math.inf  # merit of the last accepted sweep
     near = False
     for _ in range(_MAX_SHOTS):
@@ -335,12 +427,13 @@ def _damped_shot(
                     if values is not None:
                         q, v_n, f2 = values
                         if abs(v_n - target) < f1_tol and abs(f2) < f2_tol:
-                            return True, q, v_n, f2
+                            return True, q, v_n, f2, jac
                 shot = _shoot(counts, inv_alpha, beta, ell)
             except (OverflowError, ZeroDivisionError):
                 shot = None
             if shot is not None:
                 q, v_n, f2, j11, j12, j21, j22 = shot
+                jac = (j11, j12, j21, j22)
                 f1 = v_n - target
                 merit = abs(f1) / f1_tol + abs(f2) / f2_tol
                 if merit < best:
@@ -354,11 +447,11 @@ def _damped_shot(
                 ell = ell0 - step_l
                 if beta == beta0 and ell == ell0:
                     # the step fell below the spacing of the doubles
-                    return (True, *accepted)
+                    return (True, *accepted, jac)
         else:
             break
         if abs(f1) < f1_tol and abs(f2) < f2_tol:
-            return True, q, v_n, f2
+            return True, q, v_n, f2, jac
         near = abs(f1) < _NEAR_F1 * target and abs(f2) < _NEAR_F2 * f2_tol
         det = j11 * j22 - j12 * j21
         if not (det != 0.0 and math.isfinite(det)):
@@ -369,7 +462,7 @@ def _damped_shot(
         step_l = (j11 * f2 - j21 * f1) / det
         beta -= step_b
         ell -= step_l
-    return False, q, v_n, f2
+    return False, q, v_n, f2, jac
 
 
 def _binding_solve(
@@ -387,15 +480,19 @@ def _binding_solve(
     hint's V_N and gradient, recomputed only if a station has emptied.
     Without a hint the start is the linearized closed form on the unit
     weights 2 (N - j), with one adjoint gradient taken on it.  One
-    `_damped_shot` runs from the start.  Should it give up, or the start
+    `_damped_shot` runs from the start, stepped first with the hint's
+    Jacobian if it carries one.  Should it give up, or the start
     give it none (its start loads out of the floats included), a
     continuation runs in the headroom, v_t = 1 + t (v_limit - 1), from zero
     load, where g_j = N - j, at t = 1/8 (Deuflhard, ch. 5): each step a
     damped shot from the last converged loads, t's step doubling on
     success and halving on failure.
 
-    Returns (loads, V_N, gradient), the last two from the adjoint pass on
-    the loads, with |slack| <= 1e-9 in squared-voltage units.  Raises
+    Returns (loads, V_N, gradient, Jacobian): V_N and the gradient from the
+    adjoint pass on the loads, with |slack| <= 1e-9 in squared-voltage
+    units, and the Jacobian of the shot that settled (None where one
+    station or none is occupied).  The continuation's shots, like every
+    hint-less one, carry no Jacobian in.  Raises
     AllocationError: naming alpha (`_range_error`) where the closed form or
     the zero-load costate gives no start in the doubles; else naming the
     last (V_N - v_limit, costate ratio) pair and t, the continuation's
@@ -407,11 +504,11 @@ def _binding_solve(
     active = [j for j in range(n) if counts[j] > 0]
     if not active:
         zeros = (0.0,) * n
-        return (zeros, *_root_voltage_and_gradient(zeros))
+        return (zeros, *_root_voltage_and_gradient(zeros), None)
     if n == 1:
         # V_1 = 1 + q_0 = v_limit
         q0 = (v_limit - 1.0,)
-        return (q0, *_root_voltage_and_gradient(q0))
+        return (q0, *_root_voltage_and_gradient(q0), None)
     if hint is None:
         q = _lin_split(counts, spec.alpha, [2.0 * (n - j) for j in range(n)], cfg.w_headroom)
     else:
@@ -421,7 +518,8 @@ def _binding_solve(
     else:
         v_n, grad = _root_voltage_and_gradient(q)
     inv_alpha = 1.0 / spec.alpha
-    shot = _damped_shot(counts, active, inv_alpha, v_limit, q, v_n, grad)
+    carried = None if hint is None else hint[3]
+    shot = _damped_shot(counts, active, inv_alpha, v_limit, q, v_n, grad, carried)
     t = 1.0
     if shot is None or not shot[0]:
         q, v_n, grad = [0.0] * n, 1.0, [float(n - j) for j in range(n)]
@@ -445,8 +543,8 @@ def _binding_solve(
         q = shot[1]
         v_n, grad = _root_voltage_and_gradient(q)
         if all(grad[j] > 0.0 for j in active) and abs(cfg.w_limit - v_n * v_n) <= 1e-9:
-            return tuple(q), v_n, grad
-    v_n, f2 = (math.nan, math.nan) if shot is None else shot[2:]
+            return tuple(q), v_n, grad, shot[4]
+    v_n, f2 = (math.nan, math.nan) if shot is None else shot[2:4]
     raise AllocationError(
         "costate shooting did not settle on the constraint: last (V_N - v_limit, "
         f"costate ratio) = ({v_n - v_limit:.6g}, {f2:.6g}), continuation at t = {t:g}"

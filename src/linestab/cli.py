@@ -13,9 +13,11 @@ ValueError maps to exit 2.  Without --out the CSV goes to stdout and no
 manifest is written.
 
 Exit codes: 0 success, 2 flag validation or an --out file that cannot be
-written, 3 solver failure, 4 simulation abort.  Exit 4 covers every
-allocator failure during `simulate`: the message names the replication, the
-multiplier, the time and the state.
+written, 3 solver failure, 4 simulation abort.  Every file --out names is
+checked before the command runs: a path in no directory, or one that is
+or ends as a directory, exits 2 having done no work and written nothing.
+Exit 4 covers every allocator failure during `simulate`: the message names
+the replication, the multiplier, the time and the state.
 
 The parser is built on the first `main` call and reused by every later one
 in the process.  The handlers look the library functions up as module
@@ -26,8 +28,10 @@ one they run.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -73,12 +77,42 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _save(path: "Path | str", text: str, out: str) -> None:
+def _save(path: Path, text: str, out: str) -> None:
     """Write text to path, one of the files of --out ``out``; a failure exits 2."""
     try:
-        Path(path).write_text(text, encoding="ascii", newline="")
+        path.write_text(text, encoding="ascii", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
+def _out_files(args: argparse.Namespace) -> list[Path]:
+    """Every file --out names, in write order: the CSV, its manifest, then
+    `simulate`'s trajectories, one per multiplier."""
+    out = Path(args.out)
+    files = [out, Path(f"{out}.manifest.json")]
+    if args.command == "simulate":
+        files += [Path(f"{out}.traj{i}.csv") for i in range(len(args.mult))]
+    return files
+
+
+def _check_out(args: argparse.Namespace) -> None:
+    """Raise ValueError, before any work, where --out cannot take the command's files.
+
+    The path must not end in a separator or name a directory, its directory
+    must exist, and no other file the command writes may be a directory.
+    A write can still fail later, and `_save` reports that.
+    """
+    out, *sidecars = _out_files(args)
+    if args.out.endswith((os.sep, os.altsep or os.sep)) or out.is_dir():
+        reason = os.strerror(errno.EISDIR)
+    elif not out.parent.is_dir():
+        reason = os.strerror(errno.ENOTDIR if out.parent.exists() else errno.ENOENT)
+    else:
+        taken = [str(path) for path in sidecars if path.is_dir()]
+        if not taken:
+            return
+        reason = f"{os.strerror(errno.EISDIR)}: {taken[0]!r}"
+    raise ValueError(f"cannot write --out {args.out!r}: {reason}")
 
 
 def _write_output(
@@ -88,7 +122,7 @@ def _write_output(
     if args.out is None:
         sys.stdout.write(text)
         return
-    out = Path(args.out)
+    out, manifest_file = _out_files(args)[:2]
     _save(out, text, args.out)
     parameters = {
         key.replace("_", "-"): _param(value)
@@ -96,9 +130,7 @@ def _write_output(
         if key not in ("command", "func", "out") and value is not None
     }
     manifest = {"command": args.command, "parameters": parameters, "tool_version": __version__}
-    _save(
-        f"{out}.manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.out
-    )
+    _save(manifest_file, json.dumps(manifest, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _list_of(kind: type, name: str):
@@ -239,10 +271,10 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     )
     if args.out is not None:
         # first replication of each multiplier, for plotting queue paths
-        for i, row in enumerate(probe):
+        for row, path in zip(probe, _out_files(args)[2:]):
             rep = row.reports[0]
             text = _csv(["time", "total_queue"], zip(rep.time_grid, rep.total_queue))
-            _save(f"{args.out}.traj{i}.csv", text, args.out)
+            _save(path, text, args.out)
 
 
 @functools.cache
@@ -320,6 +352,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args)
         args.func(args)
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")

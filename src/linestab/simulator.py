@@ -147,8 +147,9 @@ def _make_allocator(
     Solved states are cached under their occupancy, the first 200,000 of
     them whether or not they recur, and the cache starts out holding the
     empty feeder's zero split.  A miss warm-starts from the last solve's
-    return, typically one vehicle away: its loads, and the V_N and adjoint
-    gradient it took on them, from which the solve shoots.  A hit, the
+    return, typically one vehicle away: its loads, the V_N and adjoint
+    gradient it took on them, from which the solve shoots, and the Jacobian
+    its shot ended with, which steps the next one.  A hit, the
     empty feeder included, leaves that hint as it is.  Either model raises
     AllocationError, naming alpha, on a state whose split leaves the
     doubles: a weight power out of double range is stored as inf, so it
@@ -188,7 +189,7 @@ def _make_allocator(
         return solve_lin
 
     cache: dict[tuple[int, ...], tuple[list[float], float]] = {(0,) * n: ([0.0] * n, 0.0)}
-    hint = None  # the last _binding_solve return: loads, V_N, gradient
+    hint = None  # the last _binding_solve return: loads, V_N, gradient, Jacobian
 
     def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
         nonlocal hint

@@ -24,6 +24,7 @@ from linestab.powerflow import (
     voltage_slack,
 )
 from linestab.cli import main
+from linestab.simulator import _make_allocator
 from oracles import (
     _dual_solve,
     distflow_gradient,
@@ -31,6 +32,7 @@ from oracles import (
     fairness_utility,
     grid_search_allocation,
     hard_allocation_cases,
+    kkt_point_mp,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -257,7 +259,7 @@ class TestDistflowAllocator:
         cfg = NetworkConfig(5, 1.0, 0.2)
         spec = FairnessSpec(1.0)
         cold = _binding_solve((3, 1, 0, 2, 4), spec, cfg)
-        warm, _, _ = _binding_solve((3, 1, 0, 2, 5), spec, cfg, cold)
+        warm = _binding_solve((3, 1, 0, 2, 5), spec, cfg, cold)[0]
         fresh = alpha_fair_distflow([3, 1, 0, 2, 5], spec, cfg).p
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
@@ -267,7 +269,7 @@ class TestDistflowAllocator:
         # from zero load solves the state
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(1.0)
-        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))
+        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))[:3]
         assert (v_n, grad) == _root_voltage_and_gradient(list(p))
         want, _ = _dual_solve((1, 2, 3), spec, cfg)
         for a, b in zip(p, want):
@@ -331,9 +333,9 @@ def _last_residual(message: str) -> tuple[float, float]:
     return float(found[1]), float(found[2])
 
 
-def _hint(q):
-    """A binding-solve hint made from bare loads, as the solve returns it."""
-    return (tuple(q), *_root_voltage_and_gradient(q))
+def _hint(q, jac=None):
+    """A binding-solve hint made from bare loads and a Jacobian, as the solve returns it."""
+    return (tuple(q), *_root_voltage_and_gradient(q), jac)
 
 
 def _count_gradients(monkeypatch) -> list:
@@ -347,6 +349,33 @@ def _count_gradients(monkeypatch) -> list:
 
     monkeypatch.setattr(allocator, "_root_voltage_and_gradient", spy)
     return calls
+
+
+def _count_tangent_sweeps(monkeypatch) -> list:
+    """Record the unknowns of every two-tangent `_shoot` sweep."""
+    calls = []
+    shoot = allocator._shoot
+
+    def spy(*args):
+        calls.append(args[2:])
+        return shoot(*args)
+
+    monkeypatch.setattr(allocator, "_shoot", spy)
+    return calls
+
+
+def _one_vehicle_walk(n: int, alpha: float) -> tuple:
+    """A seeded feeder and 41 heavy states, each one vehicle from the last."""
+    rng = random.Random(1000 * n + int(4 * alpha))
+    cfg = NetworkConfig(n, rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.5))
+    total = 10.0 ** rng.uniform(2.0, 3.5)
+    x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
+    states = [tuple(x)]
+    for _ in range(40):
+        j = rng.randrange(n)
+        x[j] += -1 if x[j] > 0 and rng.random() < 0.5 else 1
+        states.append(tuple(x))
+    return cfg, states
 
 
 def _spy_shooting(monkeypatch) -> list:
@@ -389,23 +418,19 @@ class TestWarmChain:
     @pytest.mark.parametrize("n", [5, 20, 80])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_one_vehicle_walks_match_the_dual_oracle(self, monkeypatch, n, alpha):
-        rng = random.Random(1000 * n + int(4 * alpha))
-        cfg = NetworkConfig(n, rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.5))
+        cfg, states = _one_vehicle_walk(n, alpha)
         spec = FairnessSpec(alpha)
-        total = 10.0 ** rng.uniform(2.0, 3.5)
-        x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
-        solved = _binding_solve(tuple(x), spec, cfg)
+        solved = _binding_solve(states[0], spec, cfg)
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
-        for _ in range(40):
-            j = rng.randrange(n)
-            x[j] += -1 if x[j] > 0 and rng.random() < 0.5 else 1
+        for prev, x in zip(states, states[1:]):
             before = (len(shots), len(gradients))
-            solved = _binding_solve(tuple(x), spec, cfg, solved)
+            solved = _binding_solve(x, spec, cfg, solved)
             # the returned V_N and gradient are the adjoint pass on the loads
-            assert solved[1:] == _root_voltage_and_gradient(list(solved[0]))
+            assert solved[1:3] == _root_voltage_and_gradient(list(solved[0]))
             p = [q / cfg.resistance for q in solved[0]]
-            if x[j] > 0 and len(shots) > before[0] and shots[before[0]] is not None:
+            emptied = any(a and not b for a, b in zip(prev, x))
+            if not emptied and len(shots) > before[0] and shots[before[0]] is not None:
                 # no station emptied: the hint's gradient starts the shot,
                 # and only the closing one is taken
                 assert len(gradients) == before[1] + 1
@@ -417,6 +442,76 @@ class TestWarmChain:
         # every warm solve shoots, a newly occupied station included
         assert len(shots) == 40
         assert all(s is not None for s in shots)
+        # after 40 warm solves the powers sit on the 40-digit KKT point
+        want = kkt_point_mp(x, alpha, cfg.resistance, cfg.delta)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-12 if n <= 20 else 3e-11, abs=0.0)
+
+    def test_warm_solves_step_on_value_only_sweeps(self, monkeypatch):
+        # each solve carries its Jacobian to the next, whose quasi-Newton
+        # phase then needs no two-tangent sweep
+        sweeps = _count_tangent_sweeps(monkeypatch)
+        free = 0
+        for n in (5, 20, 80):
+            for alpha in (0.5, 1.0, 2.0):
+                cfg, states = _one_vehicle_walk(n, alpha)
+                spec = FairnessSpec(alpha)
+                solved = _binding_solve(states[0], spec, cfg)
+                for x in states[1:]:
+                    before = len(sweeps)
+                    solved = _binding_solve(x, spec, cfg, solved)
+                    free += len(sweeps) == before
+        assert free >= 0.9 * 9 * 40
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda j: tuple(1e3 * v for v in j),
+            lambda j: (j[2], j[3], j[0], j[1]),
+            lambda j: (0.0,) * 4,
+            lambda j: (math.nan,) * 4,
+        ],
+        ids=["scaled-1e3", "rows-swapped", "singular", "nan"],
+    )
+    def test_a_corrupted_jacobian_hands_over_to_newton(self, monkeypatch, corrupt):
+        cfg, states = _one_vehicle_walk(20, 1.0)
+        spec = FairnessSpec(1.0)
+        loads, v_n, grad, jac = _binding_solve(states[0], spec, cfg)
+        sweeps = _count_tangent_sweeps(monkeypatch)
+        q, v_n, grad, jac = _binding_solve(states[1], spec, cfg, (loads, v_n, grad, corrupt(jac)))
+        # the phase gives up, Newton settles, and its tangents give the
+        # Jacobian carried on
+        assert sweeps
+        assert all(math.isfinite(v) for v in jac)
+        assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+        want, _ = _dual_solve(states[1], spec, cfg)
+        for a, b in zip(q, want):
+            assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+    def test_no_cold_solve_enters_the_phase(self, monkeypatch):
+        phases = []
+        phase = allocator._broyden_shot
+
+        def spy(*args):
+            phases.append(args)
+            return phase(*args)
+
+        monkeypatch.setattr(allocator, "_broyden_shot", spy)
+        for x, alpha, cfg in hard_allocation_cases(5, 200):
+            alpha_fair_distflow(x, FairnessSpec(alpha), cfg)
+        assert phases == []
+        # a hint that gives no start: the continuation shoots without the
+        # Jacobian the hint carries
+        targets = _spy_targets(monkeypatch)
+        hint = _hint([1e150, 1e-10, 1e-10], (1.0, 0.0, 0.0, 1.0))
+        _binding_solve((1, 1, 1), FairnessSpec(0.3), NetworkConfig(3, 1.0, 0.1), hint)
+        assert len(targets) > 1 and phases == []
+        # a simulator run's first solve is cold, its next miss warm
+        solve = _make_allocator(PowerModel.DISTFLOW, FairnessSpec(1.0), NetworkConfig(5, 1.0, 0.1))
+        solve((1, 2, 3, 4, 5))
+        assert phases == []
+        solve((1, 2, 3, 4, 6))
+        assert len(phases) == 1
 
     @pytest.mark.parametrize(
         "x,hint_from",
@@ -432,7 +527,7 @@ class TestWarmChain:
         spec = FairnessSpec(1.0)
         hint = _binding_solve(hint_from, spec, cfg)
         shots = _spy_shooting(monkeypatch)
-        loads, v_n, grad = _binding_solve(x, spec, cfg, hint)
+        loads, v_n, grad = _binding_solve(x, spec, cfg, hint)[:3]
         assert len(shots) == (len(x) > 1)
         assert (v_n, grad) == _root_voltage_and_gradient(list(loads))
         want, _ = _dual_solve(x, spec, cfg)
@@ -466,7 +561,7 @@ class TestWarmChain:
         x = (40, 0, 25, 60, 10, 30)
         carried = _binding_solve(x, spec, cfg, hint)
         assert gradients[0] == tuple(kept)
-        fresh = _binding_solve(x, spec, cfg, _hint(kept))
+        fresh = _binding_solve(x, spec, cfg, _hint(kept, hint[3]))
         assert None not in shots
         assert repr(carried) == repr(fresh)
 
@@ -535,7 +630,7 @@ class TestHardMix:
             if cfg.n_stations > 80:
                 continue
             first = len(shots)
-            p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)
+            p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
             if cfg.n_stations > 1:  # one station takes its closed form unshot
                 unsettled += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
@@ -554,7 +649,7 @@ class TestHardMix:
         # V_N tolerance, and the solve still lands on the constraint
         x, alpha, cfg = hard_allocation_cases(5, 950)[949]
         shots = _spy_shooting(monkeypatch)
-        p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)
+        p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
         assert len(shots) == 1 and shots[0] is not None
         assert abs(shots[0][2] - cfg.v_limit) >= 1e-12 * cfg.v_limit
         assert abs(cfg.w_limit - v_n * v_n) <= 1e-9

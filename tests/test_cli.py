@@ -540,8 +540,8 @@ class TestManifest:
 
 
 class TestUnwritableOut:
-    """An --out file that cannot be written exits 2 naming --out, before or
-    after the work, and leaves no sidecar behind."""
+    """An --out file that cannot be written exits 2 naming --out, before the
+    command runs, and leaves no file behind."""
 
     COMMANDS = {
         "thresholds": ["thresholds", "--n", "10", "--delta", "0.1"],
@@ -561,6 +561,37 @@ class TestUnwritableOut:
         err = _exits_2(capsys, *self.COMMANDS[command], "--out", str(tmp_path))
         assert err == f"linestab: error: cannot write --out '{tmp_path}': Is a directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_trailing_separator_writes_nothing(self, tmp_path, capsys):
+        # the CSV, its manifest and the trajectories are all named from one
+        # path, so "x.csv/" is refused before anything is written
+        out = f"{tmp_path / 'x.csv'}{os.sep}"
+        err = _exits_2(capsys, *self.COMMANDS["simulate"], "--out", out)
+        assert err == f"linestab: error: cannot write --out '{out}': Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_is_refused_before_the_probe(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "stability_probe", lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "no" / "such" / "run.csv"
+        _exits_2(capsys, *self.COMMANDS["simulate"], "--out", str(out))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "command,taken",
+        [("thresholds", "run.csv.manifest.json"), ("simulate", "run.csv.traj0.csv")],
+    )
+    def test_a_sidecar_that_is_a_directory_is_refused_first(
+        self, tmp_path, capsys, command, taken
+    ):
+        (tmp_path / taken).mkdir()
+        out = tmp_path / "run.csv"
+        err = _exits_2(capsys, *self.COMMANDS[command], "--out", str(out))
+        assert err == (
+            f"linestab: error: cannot write --out '{out}': "
+            f"Is a directory: '{tmp_path / taken}'\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
 
     def test_prints_no_traceback(self, tmp_path):
         out = tmp_path / "no" / "run.csv"
