@@ -30,8 +30,8 @@ solve first steps on value-only sweeps with the Jacobian the previous
 solve ended with, corrected by Broyden's rank-one rule after each step,
 and hands over to Newton only where that stalls.  It takes one adjoint
 gradient, on the loads it returns, about 4.8 value-only sweeps and 0.03
-two-tangent sweeps; the gradient and Jacobian it returns start the next
-solve.
+two-tangent sweeps in an overloaded simulation; the gradient and Jacobian
+it returns start the next solve.
 
 Newton's steps are damped: a step that loses the costate sign, leaves
 the floats or does not lower the residual is halved, and a start whose
