@@ -70,3 +70,9 @@ def test_stable_simulate_bytes(tmp_path):
 def test_lindist_simulate_bytes(tmp_path):
     # the simulator's own Lindist split, overloaded
     _check_simulate_bytes(tmp_path, "simulate_lindist.csv", "2.0", model="lindist")
+
+
+def test_stable_lindist_simulate_bytes(tmp_path):
+    # the simulator's own Lindist split at half the threshold, where the run
+    # keeps returning to states it has split before
+    _check_simulate_bytes(tmp_path, "simulate_lindist_stable.csv", "0.5", model="lindist")
