@@ -137,25 +137,38 @@ class ProbeRow:
     reports: tuple[SimReport, ...]
 
 
+# How many states a run's allocation cache stores, the empty feeder
+# included; past the bound a new state is split afresh on every visit.  A
+# Distflow miss warm-starts from the last solve, so which states are stored
+# fixes which bits a revisit gets: the bound is part of the trajectory.  A
+# Lindist split is a pure function of the occupancy and a miss costs about
+# 1.5 us, so its bound trades memory alone: an overloaded Lindist run
+# barely revisits a state, and storing all of them cost several MB.
+_DISTFLOW_STATES = 200_000
+_LINDIST_STATES = 4_096
+
+
 def _make_allocator(
     model: PowerModel, spec: FairnessSpec, net: NetworkConfig
 ) -> Callable[[Sequence[int]], tuple[list[float], float]]:
     """Per-run allocation oracle: occupancy -> (powers, total power).
 
-    Linearized allocations are a closed form and get evaluated inline.
-    Distflow allocations go through the binding solve and `_powers`.
-    Solved states are cached under their occupancy, the first 200,000 of
-    them whether or not they recur, and the cache starts out holding the
-    empty feeder's zero split.  A miss warm-starts from the last solve's
-    return, typically one vehicle away: its loads, the V_N and adjoint
-    gradient it took on them, from which the solve shoots, and the Jacobian
-    its shot ended with, which steps the next one.  A hit, the
-    empty feeder included, leaves that hint as it is.  Either model raises
-    AllocationError, naming alpha, on a state whose split leaves the
-    doubles: a weight power out of double range is stored as inf, so it
-    fails only the states that occupy its station.  Distflow raises one
-    naming its last residuals, or a station's power, where the solve does
-    not settle or its power is not a normal double.
+    One cache, keyed by the occupancy, sits in front of either model's
+    split and starts out holding the empty feeder's zero split; it stores
+    the first _LINDIST_STATES or _DISTFLOW_STATES states a run splits,
+    whether or not they recur (a stable run keeps returning to a few
+    hundred states near the origin).  A Lindist miss evaluates the closed
+    form inline.  A Distflow miss goes through the binding solve and
+    `_powers`, warm-started from the last solve's return, typically one
+    vehicle away: its loads, the V_N and adjoint gradient it took on them,
+    from which the solve shoots, and the Jacobian its shot ended with,
+    which steps the next one.  A hit, the empty feeder included, leaves
+    that hint as it is.  Either model raises AllocationError, naming
+    alpha, on a state whose split leaves the doubles: a weight power out
+    of double range is stored as inf, so it fails only the states that
+    occupy its station.  Distflow raises one naming its last residuals, or
+    a station's power, where the solve does not settle or its power is
+    not a normal double.
     """
     n = net.n_stations
     alpha = spec.alpha
@@ -172,39 +185,44 @@ def _make_allocator(
         w_neg = [power(w, -inv_alpha) for w in weights]
         w_pos = [power(w, 1.0 - inv_alpha) for w in weights]
         headroom = net.w_headroom
+        bound = _LINDIST_STATES
 
-        def solve_lin(x: Sequence[int]) -> tuple[list[float], float]:
+        def split(key: tuple[int, ...]) -> tuple[list[float], float]:
             denom = 0.0
-            for j in range(n):
-                if x[j] > 0:
-                    denom += x[j] * w_pos[j]
+            for xj, wj in zip(key, w_pos):
+                if xj > 0:
+                    denom += xj * wj
             scale = headroom / denom if denom else 0.0
-            p = [x[j] * w_neg[j] * scale if x[j] > 0 else 0.0 for j in range(n)]
+            p = [xj * wj * scale if xj > 0 else 0.0 for xj, wj in zip(key, w_neg)]
             total = math.fsum(p)
-            # an empty feeder draws nothing; an occupied one must draw power
-            if not 0.0 < total < math.inf and any(x):
+            # the cache answers the empty feeder: an occupied one must draw power
+            if not 0.0 < total < math.inf:
                 raise _range_error(alpha)
             return p, total
 
-        return solve_lin
+    else:
+        hint = None  # the last _binding_solve return: loads, V_N, gradient, Jacobian
+        bound = _DISTFLOW_STATES
+
+        def split(key: tuple[int, ...]) -> tuple[list[float], float]:
+            nonlocal hint
+            hint = _binding_solve(key, spec, net, hint)
+            p = _powers(key, hint[0], net.resistance, alpha)
+            return p, math.fsum(p)
 
     cache: dict[tuple[int, ...], tuple[list[float], float]] = {(0,) * n: ([0.0] * n, 0.0)}
-    hint = None  # the last _binding_solve return: loads, V_N, gradient, Jacobian
 
-    def solve_dist(x: Sequence[int]) -> tuple[list[float], float]:
-        nonlocal hint
+    def solve(x: Sequence[int]) -> tuple[list[float], float]:
         key = tuple(x)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        hint = _binding_solve(key, spec, net, hint)
-        p = _powers(key, hint[0], net.resistance, alpha)
-        entry = (p, math.fsum(p))
-        if len(cache) < 200_000:  # states mostly repeat near the origin
+        entry = split(key)
+        if len(cache) < bound:
             cache[key] = entry
         return entry
 
-    return solve_dist
+    return solve
 
 
 def simulate(cfg: SimConfig) -> SimReport:
@@ -235,21 +253,30 @@ def simulate(cfg: SimConfig) -> SimReport:
 
     p, p_sum = solve(x)
     total_arrival = n * lam
+    last = n - 1
+    exponential = rng.exponential
+    random = rng.random
+    append = samples.append
+    inf = math.inf
+    next_time = 0.0  # next_idx * interval, inf once the grid is full
     while True:
         rate = total_arrival + p_sum
         # rate 0 means an empty feeder with no arrivals coming: frozen state
-        dt = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
+        dt = exponential(1.0 / rate) if rate > 0.0 else inf
         t_next = t + dt
-        step_end = min(t_next, horizon)
-        while next_idx < grid_count and next_idx * interval < t_next:
-            samples.append(total)
+        while next_time < t_next:
+            append(total)
             next_idx += 1
-        area += total * (step_end - t)
+            next_time = next_idx * interval if next_idx < grid_count else inf
         if t_next >= horizon:
+            area += total * (horizon - t)
             break
-        u = rng.random() * rate
+        area += total * (t_next - t)
+        u = random() * rate
         if u < total_arrival:
-            j = min(int(u / lam), n - 1)
+            j = int(u / lam)
+            if j > last:
+                j = last
             x[j] += 1
             total += 1
             if total > max_total:
@@ -259,9 +286,9 @@ def simulate(cfg: SimConfig) -> SimReport:
             u -= total_arrival
             acc = 0.0
             j = -1
-            for i in range(n):
-                if p[i] > 0.0:
-                    acc += p[i]
+            for i, pi in enumerate(p):
+                if pi > 0.0:
+                    acc += pi
                     j = i
                     if u < acc:
                         break

@@ -294,6 +294,36 @@ class TestAllocatorBridge:
             assert abs(got - ref) <= 4 * len(x) * math.ulp(ref)
 
 
+class TestStateCache:
+    def test_lindist_store_bound_never_changes_a_run(self, monkeypatch):
+        # a Lindist split is a pure function of the occupancy, so a state
+        # left out of the store splits afresh to the same bits.  Distflow is
+        # left out: a revisit that is not stored re-solves from another warm
+        # hint and may land on other bits, so its bound is part of the run.
+        net = NetworkConfig(3, 1.0, 0.1)
+        lam = 2.0 * lambda_lin(net)
+        cfg = _cfg(network=net, arrival_rate=lam, horizon=2000.0 / (3.0 * lam),
+                   sample_interval=2000.0 / (3.0 * lam) / 64.0, seed=4)
+        seen: set[tuple[int, ...]] = set()
+        real = simulator._make_allocator
+
+        def spying(model, spec, net):
+            inner = real(model, spec, net)
+
+            def wrapped(x):
+                seen.add(tuple(x))
+                return inner(x)
+
+            return wrapped
+
+        monkeypatch.setattr(simulator, "_make_allocator", spying)
+        default = simulate(cfg)
+        # the default store holds every state the run visits
+        assert 8 < len(seen) <= simulator._LINDIST_STATES
+        monkeypatch.setattr(simulator, "_LINDIST_STATES", 8)
+        assert simulate(cfg) == default
+
+
 class TestAbort:
     def test_allocator_failure_raises_naming_time_and_state(self):
         # at alpha = 0.001 the first vehicle, at station 0, leaves the
