@@ -2,12 +2,15 @@
 
 Vehicles arrive at each station as independent Poisson streams of rate
 lambda, bring unit-mean exponential energy demands, and leave when served.
-After *every* arrival or departure the allocator recomputes the fair power
+After *every* arrival or departure the allocator gives the fair power
 split for the new occupancy, so a station's departure rate is exactly its
-allocated power; Distflow splits are cached by occupancy, so a state the
-run has seen before costs a lookup.  The chain is simulated with the
-Gillespie recipe: draw an exponential holding time at the total event
-rate, then pick the event in proportion to its rate.
+allocated power.  One cache, keyed by the occupancy, serves both models,
+so a state the run has seen before costs a lookup: a run stores up to
+200,000 Distflow states, whose warm solves make the stored set part of the
+trajectory, and up to 4,096 Lindist states, whose split is a pure function
+of the occupancy and cheap to redo (see `_make_allocator`).  The chain is
+simulated with the Gillespie recipe: draw an exponential holding time at
+the total event rate, then pick the event in proportion to its rate.
 
 Randomness comes from numpy's default_rng (PCG64), which is seedable and
 cheap to split: replication k of a probe runs on seed + k.  Fixing the
@@ -137,13 +140,8 @@ class ProbeRow:
     reports: tuple[SimReport, ...]
 
 
-# How many states a run's allocation cache stores, the empty feeder
-# included; past the bound a new state is split afresh on every visit.  A
-# Distflow miss warm-starts from the last solve, so which states are stored
-# fixes which bits a revisit gets: the bound is part of the trajectory.  A
-# Lindist split is a pure function of the occupancy and a miss costs about
-# 1.5 us, so its bound trades memory alone: an overloaded Lindist run
-# barely revisits a state, and storing all of them cost several MB.
+# how many states a run's allocation cache stores, the empty feeder
+# included: see _make_allocator for why each bound is what it is
 _DISTFLOW_STATES = 200_000
 _LINDIST_STATES = 4_096
 
@@ -155,20 +153,28 @@ def _make_allocator(
 
     One cache, keyed by the occupancy, sits in front of either model's
     split and starts out holding the empty feeder's zero split; it stores
-    the first _LINDIST_STATES or _DISTFLOW_STATES states a run splits,
-    whether or not they recur (a stable run keeps returning to a few
-    hundred states near the origin).  A Lindist miss evaluates the closed
-    form inline.  A Distflow miss goes through the binding solve and
-    `_powers`, warm-started from the last solve's return, typically one
-    vehicle away: its loads, the V_N and adjoint gradient it took on them,
-    from which the solve shoots, and the Jacobian its shot ended with,
-    which steps the next one.  A hit, the empty feeder included, leaves
-    that hint as it is.  Either model raises AllocationError, naming
-    alpha, on a state whose split leaves the doubles: a weight power out
-    of double range is stored as inf, so it fails only the states that
-    occupy its station.  Distflow raises one naming its last residuals, or
-    a station's power, where the solve does not settle or its power is
-    not a normal double.
+    the first states a run splits, whether or not they recur, and splits
+    a state past the bound afresh on every visit.  A stable run keeps
+    returning to a few hundred states near the origin.  Distflow stores up
+    to _DISTFLOW_STATES (200,000): a miss warm-starts from the last solve,
+    so which states are stored fixes the bits a revisit gets, and the
+    bound is part of the trajectory.  Lindist stores up to
+    _LINDIST_STATES (4,096): its split is a pure function of the
+    occupancy, so the bound never changes a run, and a miss costs about
+    1.5 us, while an overloaded run barely revisits a state and storing
+    every one would only add memory.
+
+    A Lindist miss evaluates the closed form inline.  A Distflow miss goes
+    through the binding solve and `_powers`, warm-started from the last
+    solve's return, typically one vehicle away: its loads, the V_N and
+    adjoint gradient it took on them, from which the solve shoots, and the
+    Jacobian its shot ended with, which steps the next one.  A hit, the
+    empty feeder included, leaves that hint as it is.  Either model raises
+    AllocationError, naming alpha, on a state whose split leaves the
+    doubles: a weight power out of double range is stored as inf, so it
+    fails only the states that occupy its station.  Distflow raises one
+    naming its last residuals, or a station's power, where the solve does
+    not settle or its power is not a normal double.
     """
     n = net.n_stations
     alpha = spec.alpha
@@ -257,17 +263,16 @@ def simulate(cfg: SimConfig) -> SimReport:
     exponential = rng.exponential
     random = rng.random
     append = samples.append
-    inf = math.inf
     next_time = 0.0  # next_idx * interval, inf once the grid is full
     while True:
         rate = total_arrival + p_sum
         # rate 0 means an empty feeder with no arrivals coming: frozen state
-        dt = exponential(1.0 / rate) if rate > 0.0 else inf
+        dt = exponential(1.0 / rate) if rate > 0.0 else math.inf
         t_next = t + dt
         while next_time < t_next:
             append(total)
             next_idx += 1
-            next_time = next_idx * interval if next_idx < grid_count else inf
+            next_time = next_idx * interval if next_idx < grid_count else math.inf
         if t_next >= horizon:
             area += total * (horizon - t)
             break
