@@ -44,6 +44,34 @@ def test_allocate_powers_are_the_kkt_point(name, flags):
         assert float(power) == pytest.approx(want[int(station)], rel=5e-13, abs=0.0)
 
 
+THRESHOLD_CASES = [
+    # stops on the step, so the accepted iterate's residual is a pass of its own
+    ("thresholds_n30000_d0.1.csv", ["--n", "30000", "--delta", "0.1"]),
+    # stops at the rounding floor, on an iterate it has already evaluated
+    ("thresholds_n100000_d0.01.csv", ["--n", "100000", "--delta", "0.01"]),
+    ("thresholds_n100000_d0.5.csv", ["--n", "100000", "--delta", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("name,flags", THRESHOLD_CASES, ids=[c[0] for c in THRESHOLD_CASES])
+def test_threshold_bytes(name, flags, capsysbinary):
+    assert main(["thresholds", *flags]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
+TABLE_CASES = [
+    # the README's Newton recovery and continuum tables
+    ("newton_readme.csv", ["newton", "--a", "0.01,0.05,0.1", "--n", "10,100,1000,10000,100000"]),
+    ("converge_readme.csv", ["converge", "--a", "0.05", "--n", "10,100,1000,10000,100000"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_table_bytes(name, argv, capsysbinary):
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
+
+
 def _check_simulate_bytes(tmp_path, name, mult, model="distflow"):
     out = tmp_path / name
     argv = [
