@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .allocator import AllocationError, FairnessSpec, alpha_fair_distflow, alpha_fair_lindist
-from .powerflow import NetworkConfig, PowerModel, distflow_sensitivity, voltage_slack
+from .powerflow import NetworkConfig, PowerModel, _uniform_root_voltage, voltage_slack
 from .simulator import SimConfig, SimulationError, stability_probe
 from .stability import (
     NewtonFailure,
@@ -179,7 +179,7 @@ def _cmd_newton(args: argparse.Namespace) -> None:
         for n in args.n:
             # a load is recoverable when its forward cap V_N(a) is a drop
             # tolerance in (0, 1/2]: a > 0 and V_N(a) <= 2
-            v_target = distflow_sensitivity(a, n)[0] if a > 0.0 else 1.0
+            v_target = _uniform_root_voltage(a, n) if a > 0.0 else 1.0
             delta = 1.0 - 1.0 / v_target
             if not 0.0 < delta <= 0.5:
                 raise ValueError(

@@ -17,10 +17,15 @@ or, on the voltage magnitudes themselves,
 Every pass evaluates it literally, left to right, in plain doubles: the
 tables pin its digits, rounding noise included, so the digits are
 reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
-r enters only through the loads q = r p, so both passes run on unit
-resistance: the adjoint pass `_root_voltage_and_gradient` on q, which
-`voltage_slack` and the allocator call, and the uniform-load pass of
-`distflow_sensitivity`, which the threshold solver calls.
+r enters only through the loads q = r p, so every pass runs on unit
+resistance: the adjoint pass `_root_voltage_and_gradient` on q, which the
+allocator calls; the uniform-load tangent pass of `distflow_sensitivity`,
+which the threshold solver's Newton steps call; and the value-only pass
+`_root_voltage`, for the callers that read V[N] alone: `voltage_slack`,
+the threshold solver's closing residual, `convergence_report` and the
+CLI's `newton` caps (the uniform ones through `_uniform_root_voltage`).
+All three compute V with the same expression, so V[N] has the same bits
+in each.
 
 The linearized model drops the quadratic line-loss term and fixes the
 *root* at the nominal voltage instead; its squared-voltage profile is an
@@ -33,10 +38,11 @@ stays above 1 (linearized).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "NetworkConfig",
@@ -131,6 +137,8 @@ def voltage_slack(
     w_limit - W[N, N] with the far end at 1; linearized slack is the
     headroom w_limit - 1 less the linearized drop 2 r sum_m (N - m) p[m],
     the budget the Lindist split spends.  Both are in squared-voltage units.
+    The Distflow slack takes V[N] from the value-only pass; no gradient is
+    formed.
     """
     powers = _as_powers(p)
     if len(powers) != cfg.n_stations:
@@ -138,7 +146,7 @@ def voltage_slack(
             f"allocation has {len(powers)} entries for {cfg.n_stations} stations"
         )
     if model is PowerModel.DISTFLOW:
-        v_n = _root_voltage_and_gradient([cfg.resistance * v for v in powers])[0]
+        v_n = _root_voltage(cfg.resistance * v for v in powers)
         return cfg.w_limit - v_n**2
     if model is PowerModel.LINDIST:
         # collapsed load moment sum_m (N - m) p[m] of the linearized drop
@@ -158,15 +166,14 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
 
     with T[0] = 0 and T[1] = 1.  V[n] has the bits of
     `_root_voltage_and_gradient` on loads s, and Y[n] is the sum
-    of that gradient to within 2e-14 n relative.  Newton runs this pass 4 to 12
-    times per threshold at n up to 10^5, where the adjoint pass, with its
-    stored profile and gradient list, costs 1.4 to 1.8 times as much.
+    of that gradient to within 2e-14 n relative.  Newton runs this pass once
+    per iterate it evaluates, 2 to 11 times per threshold at n up to 10^5,
+    where the adjoint pass, with its stored profile and gradient list, costs
+    1.4 to 1.8 times as much.  A caller that reads V[n] alone runs
+    `_uniform_root_voltage` instead, at about a third of the cost.
     Defined for every a >= 0: V stays finite and increasing, and Y[n] > 0.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
+    _check_uniform(a, n)
     s = a / (n * n)
     v_prev, v = 1.0, 1.0 + s
     t_prev, t = 0.0, 1.0
@@ -176,13 +183,39 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     return v, t
 
 
+def _check_uniform(a: float, n: int) -> None:
+    """The domain of the uniform-load passes: n >= 1 stations, load a >= 0."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"a must be finite and nonnegative, got {a!r}")
+
+
+def _root_voltage(q: Iterable[float]) -> float:
+    """Unvalidated value-only pass on the loads q = r p: V[N] alone.
+
+    The voltages of `_root_voltage_and_gradient` and `distflow_sensitivity`
+    in the same expression, so V[N] has their bits; V[1] = 2 - 1 + q[0] / 1
+    is 1 + q[0] exactly.  No list is stored, so q may be any iterable.
+    """
+    v_prev, v = 1.0, 1.0
+    for qj in q:
+        v, v_prev = 2.0 * v - v_prev + qj / v, v
+    return v
+
+
+def _uniform_root_voltage(a: float, n: int) -> float:
+    """V[n] of `distflow_sensitivity(a, n)`, bit for bit, without its tangent."""
+    _check_uniform(a, n)
+    return _root_voltage(itertools.repeat(a / (n * n), n))
+
+
 def _root_voltage_and_gradient(q: Sequence[float]) -> tuple[float, list[float]]:
     """Unvalidated fused pass on the loads q = r p: V[N] and dV[N]/dq.
 
     The allocator's binding solve calls it on its start (a warm solve
     reuses the one its predecessor returned), on the point it returns and,
-    in its rare continuation, on each point reached.  `voltage_slack` keeps
-    only V[N].
+    in its rare continuation, on each point reached.
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a / V[j] and a <- (2 - q[j] / V[j]^2) a - a_prev.

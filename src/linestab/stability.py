@@ -28,7 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .powerflow import NetworkConfig, _check_delta, _check_resistance, distflow_sensitivity
+from .powerflow import (
+    NetworkConfig,
+    _check_delta,
+    _check_resistance,
+    _uniform_root_voltage,
+    distflow_sensitivity,
+)
 from .specfun import erfi, f0
 
 __all__ = [
@@ -168,6 +174,7 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     in exact arithmetic the Newton steps approach the root from below and
     never leave the bracket; the safeguards act on rounding noise and on
     roots past the capped start.
+    Each Newton iterate costs one `distflow_sensitivity` pass.
     The iteration stops when the relative step falls below STEP_TOL, or
     at the recursion's rounding floor: when |residual| has not fallen for
     two evaluations, or a finite bracket is at most 4 ulps wide.  The
@@ -175,6 +182,9 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
     At large N the rounded V_N(a) is a staircase; an exact repeat of the
     previous residual means Newton is walking one flat step of it toward
     the edge, and does not count as a residual that failed to fall.
+    A run that stops on the step, or at ITERATION_CAP, evaluates the
+    residual of its last iterate with the value-only pass
+    `_uniform_root_voltage`, which gives the same V_N without Y_N.
 
     The answer is as accurate as the literal recursion allows, which is
     less than the 15 digits the CLI prints.  Against an mpmath root, the
@@ -242,7 +252,8 @@ def newton_solve_a(n: int, delta: float) -> NewtonTrace:
             converged = True
             break
     if len(residuals) < len(iterates):
-        residuals.append(distflow_sensitivity(a_cur, n)[0] - target)
+        # the accepted iterate's residual needs no derivative
+        residuals.append(_uniform_root_voltage(a_cur, n) - target)
     trace = NewtonTrace(
         a0=a0,
         iterates=tuple(iterates),
@@ -284,6 +295,8 @@ def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> lis
     """Compare discrete V_N(a) against the continuum value V(1) = f0(sqrt(a)).
 
     One row per feeder size; abs_err = |V(1) - V_N|, rel_err = abs_err / V_N.
+    V_N comes from the value-only pass, with the bits of
+    `distflow_sensitivity(a, N)[0]`.
     The gap shrinks like 1/N, roughly a factor ten per decade of N.
     """
     if not (math.isfinite(a) and a >= 0.0):
@@ -291,7 +304,7 @@ def convergence_report(a: float, n_values: "list[int] | tuple[int, ...]") -> lis
     v_cont = f0(math.sqrt(a))
     rows = []
     for n in n_values:
-        v_disc = distflow_sensitivity(a, n)[0]
+        v_disc = _uniform_root_voltage(a, n)
         abs_err = abs(v_cont - v_disc)
         rows.append(
             ConvergenceReport(

@@ -159,7 +159,8 @@ class TestNewtonCmd:
     def test_rejects_out_of_range_load_or_size(self, capsys):
         _exits_2(capsys, "newton", "--a", "2.5", "--n", "10")
         _exits_2(capsys, "newton", "--a", "-0.3", "--n", "10")
-        _exits_2(capsys, "newton", "--a", "0.01", "--n", "0")
+        err = _exits_2(capsys, "newton", "--a", "0.01", "--n", "0")
+        assert "n must be an integer >= 1, got 0" in err
         err = _exits_2(capsys, "newton", "--a", "inf", "--n", "2")
         assert "a must be finite and nonnegative, got inf" in err
 

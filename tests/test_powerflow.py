@@ -2,7 +2,9 @@
 monotonicity / compactness facts the allocator and stability code rely on.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,9 @@ from linestab.powerflow import (
     NetworkConfig,
     PowerAllocation,
     PowerModel,
+    _root_voltage,
     _root_voltage_and_gradient,
+    _uniform_root_voltage,
     distflow_sensitivity,
     voltage_slack,
 )
@@ -122,7 +126,7 @@ class TestDistflowRoutes:
                 assert w_off == pytest.approx(u * v, rel=1e-12)
 
     def test_feasible_slack_is_literal_profile_exactly(self, rng):
-        # voltage_slack keeps V[N] of the adjoint pass; it must be the literal
+        # voltage_slack takes V[N] from the value-only pass; it must be the literal
         # recursion's V[N] bit for bit, not merely close to it
         for _ in range(200):
             p, r = _random_case(rng, n_max=60)
@@ -471,6 +475,52 @@ class TestSensitivity:
     def test_rejects_bad_station_count(self):
         with pytest.raises(ValueError):
             distflow_sensitivity(1.0, 0)
+
+
+def _seeded_loads(n, seed, scale):
+    # cubed uniforms with every fifth station empty: a spread of magnitudes
+    rng = random.Random(seed)
+    return [0.0 if j % 5 == 4 else scale * rng.random() ** 3 for j in range(n)]
+
+
+class TestValueOnlyPass:
+    """`_root_voltage` gives V[N] of the tangent and adjoint passes, bit for bit."""
+
+    @given(a=st.floats(0.0, 1e3), n=st.integers(1, 1000))
+    def test_uniform_loads_match_the_tangent_pass(self, a, n):
+        want = distflow_sensitivity(a, n)[0]
+        assert _root_voltage(itertools.repeat(a / (n * n), n)) == want
+        assert _uniform_root_voltage(a, n) == want
+
+    @given(n=st.integers(1, 1000), seed=st.integers(0, 2**32), scale=st.floats(0.0, 10.0))
+    def test_arbitrary_loads_match_the_adjoint_pass(self, n, seed, scale):
+        q = _seeded_loads(n, seed, scale)
+        assert _root_voltage(q) == _root_voltage_and_gradient(q)[0]
+
+    @given(q=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40))
+    def test_any_short_load_list_matches_the_adjoint_pass(self, q):
+        assert _root_voltage(iter(q)) == _root_voltage_and_gradient(q)[0]
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 2.3])
+    def test_largest_feeder_matches_both_passes(self, a):
+        n = 100_000
+        assert _uniform_root_voltage(a, n) == distflow_sensitivity(a, n)[0]
+        q = _seeded_loads(n, 7, 3.0 * a / (n * n))
+        assert _root_voltage(q) == _root_voltage_and_gradient(q)[0]
+
+    def test_no_load_leaves_the_root_at_one(self):
+        assert _root_voltage([]) == 1.0
+        assert _uniform_root_voltage(0.0, 50) == 1.0
+
+    @pytest.mark.parametrize(
+        "a,n", [(-0.1, 4), (math.nan, 4), (math.inf, 4), (1.0, 0), (1.0, -3), (1.0, 10.0), (math.nan, 0)]
+    )
+    def test_rejects_what_the_tangent_pass_rejects(self, a, n):
+        with pytest.raises(ValueError) as want:
+            distflow_sensitivity(a, n)
+        with pytest.raises(ValueError) as got:
+            _uniform_root_voltage(a, n)
+        assert str(got.value) == str(want.value)
 
 
 class TestLindistProfile:

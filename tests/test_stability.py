@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from linestab import stability
+from linestab import allocator, cli, powerflow, stability
 from linestab.powerflow import NetworkConfig, PowerModel, distflow_sensitivity, voltage_slack
 from linestab.specfun import erfi, f0
 from linestab.stability import (
@@ -202,7 +202,9 @@ class TestSafeguards:
 
     @staticmethod
     def _solve(monkeypatch, fake, n, delta):
+        # the Newton steps and the value-only closing residual see one map
         monkeypatch.setattr(stability, "distflow_sensitivity", fake)
+        monkeypatch.setattr(stability, "_uniform_root_voltage", lambda a, n: fake(a, n)[0])
         return newton_solve_a(n, delta)
 
     def test_bisects_where_plain_newton_diverges(self, monkeypatch):
@@ -373,3 +375,86 @@ class TestConvergenceReport:
         # one station is a valid feeder: V_1 = 1 + a
         (row,) = convergence_report(0.5, [1])
         assert row.v_discrete == 1.5
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every recursion pass run, by kind: (arguments, result) per call.
+
+    Each pass is replaced by a recording spy wherever a module binds it, so
+    a caller's own call-time lookup runs the spy.
+    """
+    log = {"tangent": [], "adjoint": [], "value": []}
+    for kind, name in (
+        ("tangent", "distflow_sensitivity"),
+        ("adjoint", "_root_voltage_and_gradient"),
+        ("value", "_root_voltage"),
+    ):
+        real = getattr(powerflow, name)
+
+        def spy(*args, real=real, calls=log[kind]):
+            result = real(*args)
+            calls.append((args, result))
+            return result
+
+        for module in (powerflow, stability, allocator, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return log
+
+
+class TestValueOnlyCallers:
+    """A caller that reads V_N alone runs no tangent or adjoint pass for it."""
+
+    @pytest.mark.parametrize(
+        "n,delta,closing",
+        [(30_000, 0.1, True), (100_000, 0.01, False), (100_000, 0.5, True), (50, 0.2, True)],
+    )
+    def test_newton_runs_one_tangent_pass_per_evaluated_iterate(self, passes, n, delta, closing):
+        # `closing`: the run stops on the step, so its accepted iterate has
+        # not been evaluated; a floor stop accepts one that has
+        trace = newton_solve_a(n, delta)
+        assert [args for args, _ in passes["tangent"]] == [(a, n) for a in trace.iterates[:-1]]
+        assert not passes["adjoint"]
+        if closing:
+            ((_, v_n),) = passes["value"]
+            assert trace.residuals[-1] == v_n - 1.0 / (1.0 - delta)
+        else:
+            assert not passes["value"]
+            assert trace.a_final in trace.iterates[:-1]
+
+    def test_newton_command_takes_each_cap_from_the_value_pass(self, passes, monkeypatch, capsys):
+        traces, caps = [], []
+
+        def solve(n, delta, real=cli.newton_solve_a):
+            traces.append((n, real(n, delta)))
+            return traces[-1][1]
+
+        def cap(a, n, real=cli._uniform_root_voltage):
+            caps.append(real(a, n))
+            return caps[-1]
+
+        monkeypatch.setattr(cli, "newton_solve_a", solve)
+        monkeypatch.setattr(cli, "_uniform_root_voltage", cap)
+        assert cli.main(["newton", "--a", "0.05", "--n", "10,1000"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        # the only tangent passes are the Newton iterates'
+        want = [(a, n) for n, trace in traces for a in trace.iterates[:-1]]
+        assert [args for args, _ in passes["tangent"]] == want
+        assert not passes["adjoint"]
+        values = [v for _, v in passes["value"]]
+        assert [row[1] for row in rows] == [format(v, ".15g") for v in caps]
+        assert all(v in values for v in caps)
+        assert caps == [distflow_sensitivity(0.05, n)[0] for n in (10, 1000)]
+
+    def test_convergence_report_runs_value_passes_alone(self, passes):
+        rows = convergence_report(0.05, [10, 100, 1000])
+        assert not passes["tangent"] and not passes["adjoint"]
+        assert [v for _, v in passes["value"]] == [row.v_discrete for row in rows]
+
+    def test_distflow_slack_forms_no_gradient(self, passes):
+        cfg = NetworkConfig(4, 0.7, 0.1)
+        slack = voltage_slack([0.01, 0.0, 0.03, 0.02], cfg, PowerModel.DISTFLOW)
+        assert not passes["tangent"] and not passes["adjoint"]
+        ((_, v_n),) = passes["value"]
+        assert slack == cfg.w_limit - v_n**2
