@@ -194,9 +194,10 @@ def _check_uniform(a: float, n: int) -> None:
 def _root_voltage(q: Iterable[float]) -> float:
     """Unvalidated value-only pass on the loads q = r p: V[N] alone.
 
-    The voltages of `_root_voltage_and_gradient` and `distflow_sensitivity`
-    in the same expression, so V[N] has their bits; V[1] = 2 - 1 + q[0] / 1
-    is 1 + q[0] exactly.  No list is stored, so q may be any iterable.
+    V follows the expression of `_root_voltage_and_gradient` and
+    `distflow_sensitivity`, so V[N] has their bits; the start V[-1] = V[0]
+    = 1 gives V[1] = 2 - 1 + q[0] / 1 = 1 + q[0] exactly.  Nothing is
+    stored, so q may be any iterable.
     """
     v_prev, v = 1.0, 1.0
     for qj in q:

@@ -508,10 +508,6 @@ class TestValueOnlyPass:
         q = _seeded_loads(n, 7, 3.0 * a / (n * n))
         assert _root_voltage(q) == _root_voltage_and_gradient(q)[0]
 
-    def test_no_load_leaves_the_root_at_one(self):
-        assert _root_voltage([]) == 1.0
-        assert _uniform_root_voltage(0.0, 50) == 1.0
-
     @pytest.mark.parametrize(
         "a,n", [(-0.1, 4), (math.nan, 4), (math.inf, 4), (1.0, 0), (1.0, -3), (1.0, 10.0), (math.nan, 0)]
     )
