@@ -72,11 +72,11 @@ def test_table_bytes(name, argv, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
-def _check_simulate_bytes(tmp_path, name, mult, model="distflow"):
+def _check_simulate_bytes(tmp_path, name, mult, model="distflow", n="5", events="3000"):
     out = tmp_path / name
     argv = [
-        "simulate", "--model", model, "--n", "5", "--delta", "0.1",
-        "--mult", mult, "--replications", "1", "--events", "3000",
+        "simulate", "--model", model, "--n", n, "--delta", "0.1",
+        "--mult", mult, "--replications", "1", "--events", events,
         "--seed", "7", "--out", str(out),
     ]
     assert main(argv) == 0
@@ -87,6 +87,12 @@ def _check_simulate_bytes(tmp_path, name, mult, model="distflow"):
 
 def test_overloaded_simulate_bytes(tmp_path):
     _check_simulate_bytes(tmp_path, "simulate.csv", "2.0")
+
+
+def test_overloaded_simulate_bytes_n20(tmp_path):
+    # the warm solves of an overloaded 20-station feeder, where a solve's
+    # quasi-Newton phase hands over to Newton most often
+    _check_simulate_bytes(tmp_path, "simulate_n20.csv", "2.0", n="20", events="2000")
 
 
 def test_stable_simulate_bytes(tmp_path):
