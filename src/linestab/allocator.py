@@ -12,26 +12,31 @@ sum_j w_j p_j <= headroom with weights w_j = 2 r (N - j), and the KKT
 conditions collapse to a closed form.  Under full Distflow the constraint
 surface is curved; its solve runs on the loads q = r p of a unit-resistance
 feeder, and `_powers` divides them by r.  One station takes the whole
-headroom, and otherwise every solve starts from loads with the V_N and
-O(N) adjoint gradient taken on them: the previous solve's return when the
-simulator passes one as a hint, else the linearized closed form.
+headroom; every other solve shoots on two unknowns, as below.  A warm
+solve, handed the previous solve's return as a hint by the simulator,
+starts from the unknowns that solve settled on, with log c moved in O(1)
+for the counts that changed.  Where a station gains its first vehicle,
+where that move leaves the doubles, and without a hint, the start comes
+from loads with the V_N and O(N) adjoint gradient on them: the hint's
+loads, else the linearized closed form.
 
-From that start the solve shoots.  The KKT conditions are a two-point
-recursion: voltages run out from the far end, and the costate b_k =
-dV_N/dV_k obeys the adjoint recursion, which runs forward just as well.
+The KKT conditions are a two-point recursion: voltages run out from the
+far end, and the costate b_k = dV_N/dV_k obeys the adjoint recursion,
+which runs forward just as well.
 Fixing b_1 = 1, the unknowns (b_2, log c), c the scaled multiplier, are
 pinned by V_N = v_limit and b_{N+1} = 0, so Newton's method shoots on two
 unknowns for any N, each step one O(N) sweep that carries two tangent
 directions (Stoer & Bulirsch, Introduction to Numerical Analysis, 7.3).
 Once the residual is small, the next sweep first runs without its
-tangents, which only a further step would use.  A cold solve takes two
-gradients, about 3.1 two-tangent sweeps and one value-only sweep.  A warm
+tangents, which only a further step would use.  A cold solve takes one
+gradient, about 3.1 two-tangent sweeps and one value-only sweep.  A warm
 solve first steps on value-only sweeps with the Jacobian the previous
 solve ended with, corrected by Broyden's rank-one rule after each step,
-and hands over to Newton only where that stalls.  It takes one adjoint
-gradient, on the loads it returns, about 4.8 value-only sweeps and 0.03
-two-tangent sweeps in an overloaded simulation; the gradient and Jacobian
-it returns start the next solve.
+and hands over to Newton only where that stalls.  In an overloaded
+simulation it takes about 4.8 value-only sweeps, 0.019 two-tangent
+sweeps and 0.013 adjoint gradients.  No adjoint pass closes a solve: V_N
+is the settled sweep's, and the unknowns and Jacobian it returns start
+the next solve.
 
 Newton's steps are damped: a step that loses the costate sign, leaves
 the floats or does not lower the residual is halved, and a start whose
@@ -163,9 +168,16 @@ def _powers(counts: tuple[int, ...], q: Sequence[float], r: float, alpha: float)
 
 # the Jacobian of (V_N - target, costate ratio) in (b_2, log c), row by row
 _Jacobian = tuple[float, float, float, float]
-# a binding solve's loads, with the V_N and adjoint gradient taken on them
-# and the Jacobian its shot ended with (None where nothing was shot)
-_Solution = tuple[tuple[float, ...], float, list[float], "_Jacobian | None"]
+# a binding solve's loads, the occupancy they solve and the V_N on them, with
+# the (b_2, log c, b_N) of the sweep that settled them and the Jacobian its
+# shot ended with (both None where nothing was shot)
+_Solution = tuple[
+    tuple[float, ...],
+    tuple[int, ...],
+    float,
+    "tuple[float, float, float] | None",
+    "_Jacobian | None",
+]
 
 _MAX_SHOTS = 20  # Newton steps before a shot gives up
 # a warm shot's quasi-Newton phase stops below this merit, and after this
@@ -180,18 +192,18 @@ _NEAR_F2 = 3e6
 
 def _shoot(
     counts: tuple[int, ...], inv_alpha: float, beta: float, ell: float
-) -> "tuple[list[float], float, float, float, float, float, float] | None":
+) -> "tuple[list[float], float, float, float, float, float, float, float] | None":
     """One forward sweep of the KKT two-point recursion, with two tangents.
 
     The costate b_k = dV_N/dV_k, scaled so that b_1 = 1, obeys the adjoint
     recursion run forward, b_{j+2} = (2 - q_j / V_j^2) b_{j+1} - b_j, and
     stationarity gives q_j = x_j (c b_{j+1} / V_j)^(-1/alpha).  From the
     unknowns (b_2, log c) = (beta, ell) the sweep returns the loads, V_N,
-    the costate ratio b_{N+1} / b_N (zero at the optimum) and the Jacobian
-    of (V_N, b_{N+1} / b_N) in (beta, ell), row by row; None when a
-    costate the loads depend on is not positive.  V follows the literal
-    recursion, so V_N is what `_root_voltage_and_gradient` gives for the
-    returned loads.
+    the costate ratio b_{N+1} / b_N (zero at the optimum), the costate's
+    last entry b_N, whose inverse is dV_N/dq_0, and the Jacobian of (V_N,
+    b_{N+1} / b_N) in (beta, ell), row by row; None when a costate the
+    loads depend on is not positive.  V follows the literal recursion, so
+    V_N is what `_root_voltage_and_gradient` gives for the returned loads.
     """
     c = math.exp(ell)
     expo = -inv_alpha
@@ -240,6 +252,7 @@ def _shoot(
         q,
         v,
         ratio,
+        b_prev,
         vb,
         vl,
         (bb - ratio * bb_prev) / b_prev,
@@ -249,8 +262,8 @@ def _shoot(
 
 def _shoot_values(
     counts: tuple[int, ...], inv_alpha: float, beta: float, ell: float
-) -> "tuple[list[float], float, float] | None":
-    """`_shoot` without its tangents: the loads, V_N and costate ratio.
+) -> "tuple[list[float], float, float, float] | None":
+    """`_shoot` without its tangents: the loads, V_N, costate ratio and b_N.
 
     The tangents never feed the values, so these are `_shoot`'s own, bit
     for bit, and it returns None (or raises) exactly where `_shoot` does.
@@ -279,7 +292,7 @@ def _shoot_values(
         b_prev, b = b, a * b - b_prev
     if not b_prev > 0.0:
         return None
-    return q, v, b / b_prev
+    return q, v, b / b_prev, b_prev
 
 
 def _broyden_shot(
@@ -291,7 +304,7 @@ def _broyden_shot(
     jac: _Jacobian,
     f1_tol: float,
     f2_tol: float,
-) -> "tuple[tuple[list[float], float, float, _Jacobian] | None, float, float]":
+) -> "tuple[tuple[list[float], float, float, float, _Jacobian] | None, float, float]":
     """Quasi-Newton on (b_2, log c) from a carried Jacobian, on `_shoot_values` alone.
 
     Each step solves with ``jac``, which is then corrected along the step
@@ -302,7 +315,7 @@ def _broyden_shot(
     _BROYDEN_MERIT, a sweep is not valid, the merit fails to halve, or
     after _BROYDEN_SWEEPS sweeps.  It returns (settled, b_2, log c) of the
     last sweep whose merit fell, the start if none did.  settled is
-    (loads, V_N, costate ratio, Jacobian) if that sweep passes the
+    (loads, V_N, costate ratio, b_N, Jacobian) if that sweep passes the
     residual test, |V_N - target| < f1_tol and |costate ratio| < f2_tol,
     where a Newton step would stop at once, else None.  Its Jacobian is the
     one in use when the test first passed: the steps after that are at
@@ -352,7 +365,7 @@ def _broyden_shot(
     return (None if kept is None else (*accepted, kept)), beta0, ell0
 
 
-def _damped_shot(
+def _gradient_start(
     counts: tuple[int, ...],
     active: list[int],
     inv_alpha: float,
@@ -360,28 +373,13 @@ def _damped_shot(
     q: list[float],
     v_n: float,
     grad: list[float],
-    jac: "_Jacobian | None" = None,
-) -> "tuple[bool, list[float] | None, float, float, _Jacobian | None] | None":
-    """Damped Newton on (b_2, log c) for V_N = target and b_{N+1} = 0.
+) -> "tuple[float, float] | None":
+    """The unknowns (b_2, log c) from loads q with V_N and the adjoint gradient g on them.
 
-    Starts from loads q with V_N and the adjoint gradient g on them: g
-    gives the costate, b_{j+1} / b_1 = g_j V_j / g_0, hence b_2 = g_1 V_1 /
+    g gives the costate, b_{j+1} / b_1 = g_j V_j / g_0, hence b_2 = g_1 V_1 /
     g_0, and log c puts the linearized V_N along that costate on target.
-    Given a Jacobian ``jac`` (a warm solve), `_broyden_shot` runs first,
-    and Newton starts where it leaves off unsettled.  Each Newton step is
-    one `_shoot` sweep.  A sweep that is not valid, or does not lower
-    |V_N - target| / (1e-12 target) + |costate ratio| / f2_tol, is retried
-    up to 30 times: from the start with log c += 1/2 (smaller loads), else
-    with the step halved (Deuflhard, Newton Methods for Nonlinear
-    Problems, 2004, ch. 3).
-    Near the root (_NEAR_F1, _NEAR_F2) the next sweep first runs as
-    `_shoot_values`, and stops there if it converges.  Converged once
-    |V_N - target| < 1e-12 target and |costate ratio| < f2_tol, or once a
-    halved step no longer moves the unknowns.  Returns (converged, loads,
-    V_N, costate ratio) of the last valid sweep (nan if none) and a
-    Jacobian, the settled phase's or else the last valid `_shoot` sweep's
-    (None if none); or None where g gives no start or the start's loads
-    leave the floats.
+    None where g gives no start: V_N is not finite, an occupied station's
+    g_j is not positive, or the multiplier leaves the doubles.
     """
     g0 = grad[0]
     if not (math.isfinite(v_n) and g0 > 0.0):
@@ -402,7 +400,71 @@ def _damped_shot(
             return None
     if not (lift > 0.0 and 0.0 < slope / lift < math.inf):
         return None
-    ell = math.log(slope / lift) / inv_alpha
+    return beta, math.log(slope / lift) / inv_alpha
+
+
+def _warm_start(
+    counts: tuple[int, ...], alpha: float, hint: _Solution
+) -> "tuple[float, float] | None":
+    """The unknowns (b_2, log c) of a warm start in O(1): the hint's, log c moved.
+
+    At the hint's unknowns a sweep gives station k about x'_k / x_k times
+    the hint's load q_k, so V_N moves by dV = sum_k g_k q_k (x'_k - x_k) /
+    x_k over the stations whose count changed, where stationarity gives
+    g_k = dV_N/dq_k = (x_k / q_k)^alpha e^(-log c) / b_N.  Moving log c by
+    -dV / J_12, J_12 = dV_N/d(log c) the hint's Jacobian entry, puts V_N
+    back on target to first order.  None where the hint carries no shot, a
+    station occupied now was empty in the hint's state (its g_k is not
+    known), or the formula leaves the doubles.
+    """
+    loads, was, _, settled, jac = hint
+    if settled is None:
+        return None
+    beta, ell, b_n = settled
+    dv = 0.0
+    try:
+        scale = math.exp(-ell) / b_n
+        for k, (x, w) in enumerate(zip(counts, was)):
+            if x != w:
+                if not w:
+                    return None
+                qk = loads[k]
+                gk = (w / qk) ** alpha * scale
+                if not 0.0 < gk < math.inf:
+                    return None
+                dv += gk * qk * (x - w) / w
+        ell -= dv / jac[1]
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return (beta, ell) if math.isfinite(ell) else None
+
+
+def _damped_shot(
+    counts: tuple[int, ...],
+    inv_alpha: float,
+    target: float,
+    beta: float,
+    ell: float,
+    jac: "_Jacobian | None" = None,
+) -> "tuple[bool, list[float] | None, float, float, float, float, float, _Jacobian | None]":
+    """Damped Newton on (b_2, log c) for V_N = target and b_{N+1} = 0.
+
+    Starts from the unknowns (beta, ell).  Given a Jacobian ``jac`` (a warm
+    solve), `_broyden_shot` runs first, and Newton starts where it leaves
+    off unsettled.  Each Newton step is one `_shoot` sweep.  A sweep that
+    is not valid, or does not lower |V_N - target| / (1e-12 target) +
+    |costate ratio| / f2_tol, is retried up to 30 times: from the start
+    with log c += 1/2 (smaller loads), else with the step halved
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 3).
+    Near the root (_NEAR_F1, _NEAR_F2) the next sweep first runs as
+    `_shoot_values`, and stops there if it converges.  Converged once
+    |V_N - target| < 1e-12 target and |costate ratio| < f2_tol, or once a
+    halved step no longer moves the unknowns.  Returns (converged, loads,
+    V_N, costate ratio, b_N, b_2, log c): the settled sweep's if
+    converged, else the last valid one's (None and nan if none), and a
+    Jacobian, the settled phase's or else the last valid `_shoot`
+    sweep's (None if none).
+    """
     f1_tol = 1e-12 * target
     # b_N is about b_1 / N, so the costate ratio carries ~N^2 ulps of
     # cancellation; its tolerance follows that floor
@@ -412,8 +474,10 @@ def _damped_shot(
             counts, inv_alpha, target, beta, ell, jac, f1_tol, f2_tol
         )
         if settled is not None:
-            return (True, *settled)
-    v_n = f2 = math.nan
+            *values, kept = settled
+            return (True, *values, beta, ell, kept)
+    # the last valid sweep's loads, V_N, costate ratio and b_N, and its unknowns
+    last = (None, math.nan, math.nan, math.nan, beta, ell)
     jac = None
     best = math.inf  # merit of the last accepted sweep
     near = False
@@ -425,16 +489,17 @@ def _damped_shot(
                     # alone, then redo them with tangents at the same unknowns
                     values = _shoot_values(counts, inv_alpha, beta, ell)
                     if values is not None:
-                        q, v_n, f2 = values
-                        if abs(v_n - target) < f1_tol and abs(f2) < f2_tol:
-                            return True, q, v_n, f2, jac
+                        last = (*values, beta, ell)
+                        if abs(values[1] - target) < f1_tol and abs(values[2]) < f2_tol:
+                            return (True, *last, jac)
                 shot = _shoot(counts, inv_alpha, beta, ell)
             except (OverflowError, ZeroDivisionError):
                 shot = None
             if shot is not None:
-                q, v_n, f2, j11, j12, j21, j22 = shot
-                jac = (j11, j12, j21, j22)
-                f1 = v_n - target
+                last = (*shot[:4], beta, ell)
+                jac = j11, j12, j21, j22 = shot[4:]
+                f1 = shot[1] - target
+                f2 = shot[2]
                 merit = abs(f1) / f1_tol + abs(f2) / f2_tol
                 if merit < best:
                     break
@@ -451,18 +516,18 @@ def _damped_shot(
         else:
             break
         if abs(f1) < f1_tol and abs(f2) < f2_tol:
-            return True, q, v_n, f2, jac
+            return (True, *last, jac)
         near = abs(f1) < _NEAR_F1 * target and abs(f2) < _NEAR_F2 * f2_tol
         det = j11 * j22 - j12 * j21
         if not (det != 0.0 and math.isfinite(det)):
             break
-        best, accepted = merit, (q, v_n, f2)
+        best, accepted = merit, last
         beta0, ell0 = beta, ell
         step_b = (f1 * j22 - f2 * j12) / det
         step_l = (j11 * f2 - j21 * f1) / det
         beta -= step_b
         ell -= step_l
-    return False, q, v_n, f2, jac
+    return (False, *last, jac)
 
 
 def _binding_solve(
@@ -471,55 +536,57 @@ def _binding_solve(
     cfg: NetworkConfig,
     hint: "_Solution | None" = None,
 ) -> _Solution:
-    """Distflow optimum on unit resistance, with the V_N and gradient on it.
+    """Distflow optimum on unit resistance, with the V_N on it and the shot that settled it.
 
     Every loop runs on the loads q = r p; cfg's r is never read.  One
     station takes the whole headroom, q_0 = v_limit - 1.  Else ``hint`` is
-    the previous solve's return, typically one vehicle away.  The start
-    keeps its loads at the occupied stations, zero elsewhere, with the
-    hint's V_N and gradient, recomputed only if a station has emptied.
-    Without a hint the start is the linearized closed form on the unit
-    weights 2 (N - j), with one adjoint gradient taken on it.  One
-    `_damped_shot` runs from the start, stepped first with the hint's
-    Jacobian if it carries one.  Should it give up, or the start
+    the previous solve's return, typically one vehicle away.  Where every
+    station occupied now was occupied in the hint's state, the shot starts
+    from the hint's settled unknowns, log c moved in O(1) (`_warm_start`).
+    Else, or where that formula leaves the doubles, the start keeps the
+    hint's loads at the occupied stations, zero elsewhere, and takes one
+    adjoint gradient on them (`_gradient_start`); without a hint it takes
+    that gradient on the linearized closed form on the unit weights 2 (N -
+    j).  One `_damped_shot` runs from the start, stepped first with the
+    hint's Jacobian if it carries one.  Should it give up, or the start
     give it none (its start loads out of the floats included), a
     continuation runs in the headroom, v_t = 1 + t (v_limit - 1), from zero
     load, where g_j = N - j, at t = 1/8 (Deuflhard, ch. 5): each step a
-    damped shot from the last converged loads, t's step doubling on
-    success and halving on failure.
+    damped shot from the gradient start on the last converged loads, t's
+    step doubling on success and halving on failure.
 
-    Returns (loads, V_N, gradient, Jacobian): V_N and the gradient from the
-    adjoint pass on the loads, with |slack| <= 1e-9 in squared-voltage
-    units, and the Jacobian of the shot that settled (None where one
-    station or none is occupied).  The continuation's shots, like every
-    hint-less one, carry no Jacobian in.  Raises
-    AllocationError: naming alpha (`_range_error`) where the closed form or
-    the zero-load costate gives no start in the doubles; else naming the
-    last (V_N - v_limit, costate ratio) pair and t, the continuation's
-    reach (1 if it never ran), once t's step is below 2^-12 or the settled
-    loads miss the constraint.
+    Returns (loads, counts, V_N, (b_2, log c, b_N), Jacobian) with |slack|
+    <= 1e-9 in squared-voltage units.  V_N is the settled sweep's, which
+    has the bits of the adjoint pass on the loads, and no adjoint pass
+    closes the solve; (b_2, log c, b_N) and the Jacobian are those of the
+    shot that settled (None where one station or none is occupied).  The
+    continuation's shots, like every hint-less one, carry no Jacobian in.
+    Raises AllocationError: naming alpha (`_range_error`) where the closed
+    form or the zero-load costate gives no start in the doubles; else
+    naming the last (V_N - v_limit, costate ratio) pair and t, the
+    continuation's reach (1 if it never ran), once t's step is below 2^-12
+    or the settled loads miss the constraint.
     """
     n = cfg.n_stations
     v_limit = cfg.v_limit
     active = [j for j in range(n) if counts[j] > 0]
     if not active:
-        zeros = (0.0,) * n
-        return (zeros, *_root_voltage_and_gradient(zeros), None)
+        return (0.0,) * n, counts, 1.0, None, None
     if n == 1:
         # V_1 = 1 + q_0 = v_limit
-        q0 = (v_limit - 1.0,)
-        return (q0, *_root_voltage_and_gradient(q0), None)
-    if hint is None:
-        q = _lin_split(counts, spec.alpha, [2.0 * (n - j) for j in range(n)], cfg.w_headroom)
-    else:
-        q = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
-    if hint is not None and tuple(q) == hint[0]:
-        v_n, grad = hint[1], hint[2]
-    else:
-        v_n, grad = _root_voltage_and_gradient(q)
+        q0 = v_limit - 1.0
+        return (q0,), counts, 1.0 + q0, None, None
     inv_alpha = 1.0 / spec.alpha
-    carried = None if hint is None else hint[3]
-    shot = _damped_shot(counts, active, inv_alpha, v_limit, q, v_n, grad, carried)
+    start = None if hint is None else _warm_start(counts, spec.alpha, hint)
+    if start is None:
+        if hint is None:
+            q = _lin_split(counts, spec.alpha, [2.0 * (n - j) for j in range(n)], cfg.w_headroom)
+        else:
+            q = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
+        v_n, grad = _root_voltage_and_gradient(q)
+        start = _gradient_start(counts, active, inv_alpha, v_limit, q, v_n, grad)
+    carried = None if hint is None else hint[4]
+    shot = None if start is None else _damped_shot(counts, inv_alpha, v_limit, *start, carried)
     t = 1.0
     if shot is None or not shot[0]:
         q, v_n, grad = [0.0] * n, 1.0, [float(n - j) for j in range(n)]
@@ -527,9 +594,10 @@ def _binding_solve(
         while t < 1.0:
             t_next = min(t + step, 1.0)
             target = v_limit if t_next == 1.0 else 1.0 + t_next * (v_limit - 1.0)
-            shot = _damped_shot(counts, active, inv_alpha, target, q, v_n, grad)
-            if shot is None and t == 0.0:
+            start = _gradient_start(counts, active, inv_alpha, target, q, v_n, grad)
+            if start is None and t == 0.0:
                 raise _range_error(spec.alpha)
+            shot = None if start is None else _damped_shot(counts, inv_alpha, target, *start)
             if shot is not None and shot[0]:
                 t, step = t_next, 2.0 * step
                 q = shot[1]
@@ -540,10 +608,9 @@ def _binding_solve(
             else:
                 break
     if shot is not None and shot[0]:
-        q = shot[1]
-        v_n, grad = _root_voltage_and_gradient(q)
-        if all(grad[j] > 0.0 for j in active) and abs(cfg.w_limit - v_n * v_n) <= 1e-9:
-            return tuple(q), v_n, grad, shot[4]
+        _, q, v_n, _, b_n, beta, ell, jac = shot
+        if abs(cfg.w_limit - v_n * v_n) <= 1e-9:
+            return tuple(q), counts, v_n, (beta, ell, b_n), jac
     v_n, f2 = (math.nan, math.nan) if shot is None else shot[2:4]
     raise AllocationError(
         "costate shooting did not settle on the constraint: last (V_N - v_limit, "

@@ -19,13 +19,14 @@ tables pin its digits, rounding noise included, so the digits are
 reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
 r enters only through the loads q = r p, so every pass runs on unit
 resistance: the adjoint pass `_root_voltage_and_gradient` on q, which the
-allocator calls; the uniform-load tangent pass of `distflow_sensitivity`,
-which the threshold solver's Newton steps call; and the value-only pass
-`_root_voltage`, for the callers that read V[N] alone: `voltage_slack`,
-the threshold solver's closing residual, `convergence_report` and the
-CLI's `newton` caps (the uniform ones through `_uniform_root_voltage`).
-All three compute V with the same expression, so V[N] has the same bits
-in each.
+allocator calls only to start a solve that no settled shot starts; the
+uniform-load tangent pass of `distflow_sensitivity`, which the threshold
+solver's Newton steps call; and the value-only pass `_root_voltage`, for
+the callers that read V[N] alone: `voltage_slack`, the threshold solver's
+closing residual, `convergence_report` and the CLI's `newton` caps (the
+uniform ones through `_uniform_root_voltage`).  All three compute V with
+the same expression, as do the allocator's shooting sweeps, so V[N] has
+the same bits in each, and a solve reads it off the sweep that settled.
 
 The linearized model drops the quadratic line-loss term and fixes the
 *root* at the nominal voltage instead; its squared-voltage profile is an
@@ -214,9 +215,11 @@ def _uniform_root_voltage(a: float, n: int) -> float:
 def _root_voltage_and_gradient(q: Sequence[float]) -> tuple[float, list[float]]:
     """Unvalidated fused pass on the loads q = r p: V[N] and dV[N]/dq.
 
-    The allocator's binding solve calls it on its start (a warm solve
-    reuses the one its predecessor returned), on the point it returns and,
-    in its rare continuation, on each point reached.
+    The allocator's binding solve calls it on its start where the last
+    solve's settled shot gives none (no hint, a station that gains its
+    first vehicle, or an O(1) warm start out of the doubles) and, in its
+    rare continuation, on each point reached; never on the point it
+    returns, whose V[N] the settled sweep gives with these bits.
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a / V[j] and a <- (2 - q[j] / V[j]^2) a - a_prev.

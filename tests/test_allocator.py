@@ -20,6 +20,7 @@ from linestab.allocator import (
 from linestab.powerflow import (
     NetworkConfig,
     PowerModel,
+    _root_voltage,
     _root_voltage_and_gradient,
     voltage_slack,
 )
@@ -269,8 +270,9 @@ class TestDistflowAllocator:
         # from zero load solves the state
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(1.0)
-        p, v_n, grad = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))[:3]
-        assert (v_n, grad) == _root_voltage_and_gradient(list(p))
+        solved = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))
+        _assert_settled(solved, spec)
+        p = solved[0]
         want, _ = _dual_solve((1, 2, 3), spec, cfg)
         for a, b in zip(p, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
@@ -334,8 +336,20 @@ def _last_residual(message: str) -> tuple[float, float]:
 
 
 def _hint(q, jac=None):
-    """A binding-solve hint made from bare loads and a Jacobian, as the solve returns it."""
-    return (tuple(q), *_root_voltage_and_gradient(q), jac)
+    """A binding-solve hint made from bare loads and a Jacobian, with no settled shot."""
+    return (tuple(q), tuple(int(v > 0.0) for v in q), _root_voltage(q), None, jac)
+
+
+def _assert_settled(solved, spec) -> None:
+    """The returned V_N is the value-only pass on the loads, bit for bit, and
+    the carried (b_2, log c, b_N) are the unknowns and b_N of the sweep that
+    gives those loads; repr tells every bit of a double apart."""
+    loads, counts, v_n, shot, _ = solved
+    assert repr(v_n) == repr(_root_voltage(loads))
+    if shot is not None:
+        beta, ell, b_n = shot
+        q, v, _, b = allocator._shoot_values(counts, 1.0 / spec.alpha, beta, ell)
+        assert repr((tuple(q), v, b)) == repr((loads, v_n, b_n))
 
 
 def _count_gradients(monkeypatch) -> list:
@@ -381,8 +395,9 @@ def _one_vehicle_walk(n: int, alpha: float) -> tuple:
 def _spy_shooting(monkeypatch) -> list:
     """Record every damped shot: what it returns if it settles, else None.
 
-    A shot that gives no start or does not settle records None, so the
-    continuation's shots show up after the first one of a solve.
+    A start that gives no shot records nothing, and a shot that does not
+    settle records None, so the continuation's shots show up after the
+    first one of a solve.
     """
     results = []
     shot = allocator._damped_shot
@@ -402,7 +417,7 @@ def _spy_targets(monkeypatch) -> list:
     shot = allocator._damped_shot
 
     def spy(*args):
-        targets.append(args[3])
+        targets.append(args[2])
         return shot(*args)
 
     monkeypatch.setattr(allocator, "_damped_shot", spy)
@@ -424,16 +439,18 @@ class TestWarmChain:
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
         for prev, x in zip(states, states[1:]):
-            before = (len(shots), len(gradients))
-            solved = _binding_solve(x, spec, cfg, solved)
-            # the returned V_N and gradient are the adjoint pass on the loads
-            assert solved[1:3] == _root_voltage_and_gradient(list(solved[0]))
+            before = len(gradients)
+            hint, solved = solved, _binding_solve(x, spec, cfg, solved)
+            _assert_settled(solved, spec)
             p = [q / cfg.resistance for q in solved[0]]
-            emptied = any(a and not b for a, b in zip(prev, x))
-            if not emptied and len(shots) > before[0] and shots[before[0]] is not None:
-                # no station emptied: the hint's gradient starts the shot,
-                # and only the closing one is taken
-                assert len(gradients) == before[1] + 1
+            if any(b and not a for a, b in zip(prev, x)):
+                # a newly occupied station: one adjoint pass on the hint's
+                # loads starts the shot
+                kept = tuple(h if b else 0.0 for h, b in zip(hint[0], x))
+                assert gradients[before:] == [kept]
+            else:
+                # the hint's settled shot starts this one; no pass is taken
+                assert len(gradients) == before
             slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
             assert abs(slack) <= 1e-9
             want, _ = _dual_solve(x, spec, cfg)
@@ -464,28 +481,55 @@ class TestWarmChain:
         assert free >= 0.9 * 9 * 40
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt,passes",
         [
-            lambda j: tuple(1e3 * v for v in j),
-            lambda j: (j[2], j[3], j[0], j[1]),
-            lambda j: (0.0,) * 4,
-            lambda j: (math.nan,) * 4,
+            (lambda j: tuple(1e3 * v for v in j), 0),
+            (lambda j: (j[2], j[3], j[0], j[1]), 0),
+            (lambda j: (0.0,) * 4, 1),
+            (lambda j: (math.nan,) * 4, 1),
         ],
         ids=["scaled-1e3", "rows-swapped", "singular", "nan"],
     )
-    def test_a_corrupted_jacobian_hands_over_to_newton(self, monkeypatch, corrupt):
+    def test_a_corrupted_jacobian_hands_over_to_newton(self, monkeypatch, corrupt, passes):
         cfg, states = _one_vehicle_walk(20, 1.0)
         spec = FairnessSpec(1.0)
-        loads, v_n, grad, jac = _binding_solve(states[0], spec, cfg)
+        hint = _binding_solve(states[0], spec, cfg)
         sweeps = _count_tangent_sweeps(monkeypatch)
-        q, v_n, grad, jac = _binding_solve(states[1], spec, cfg, (loads, v_n, grad, corrupt(jac)))
+        gradients = _count_gradients(monkeypatch)
+        solved = _binding_solve(states[1], spec, cfg, (*hint[:4], corrupt(hint[4])))
+        q, _, v_n, _, jac = solved
         # the phase gives up, Newton settles, and its tangents give the
         # Jacobian carried on
         assert sweeps
         assert all(math.isfinite(v) for v in jac)
+        # a finite J_12 moves the hint's log c; J_12 = 0 or nan leaves the
+        # warm formula no start, and one adjoint pass on the hint's loads
+        # gives it instead
+        assert gradients == [hint[0]] * passes
+        _assert_settled(solved, spec)
         assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
         want, _ = _dual_solve(states[1], spec, cfg)
         for a, b in zip(q, want):
+            assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
+
+    @pytest.mark.parametrize("shift", [1000.0, -1000.0], ids=["g-underflows", "g-overflows"])
+    def test_a_stationarity_gradient_out_of_the_floats_takes_the_gradient_start(
+        self, monkeypatch, shift
+    ):
+        # e^(-log c) underflows to 0 or overflows, so no g_k of the warm
+        # formula is a double: one adjoint pass on the hint's loads starts
+        # the shot instead
+        cfg, states = _one_vehicle_walk(20, 1.0)
+        spec = FairnessSpec(1.0)
+        loads, was, v_n, (beta, ell, b_n), jac = _binding_solve(states[0], spec, cfg)
+        hint = (loads, was, v_n, (beta, ell + shift, b_n), jac)
+        assert allocator._warm_start(states[1], spec.alpha, hint) is None
+        gradients = _count_gradients(monkeypatch)
+        solved = _binding_solve(states[1], spec, cfg, hint)
+        assert gradients == [tuple(q if x else 0.0 for q, x in zip(loads, states[1]))]
+        _assert_settled(solved, spec)
+        want, _ = _dual_solve(states[1], spec, cfg)
+        for a, b in zip(solved[0], want):
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def test_no_cold_solve_enters_the_phase(self, monkeypatch):
@@ -527,43 +571,62 @@ class TestWarmChain:
         spec = FairnessSpec(1.0)
         hint = _binding_solve(hint_from, spec, cfg)
         shots = _spy_shooting(monkeypatch)
-        loads, v_n, grad = _binding_solve(x, spec, cfg, hint)[:3]
+        solved = _binding_solve(x, spec, cfg, hint)
         assert len(shots) == (len(x) > 1)
-        assert (v_n, grad) == _root_voltage_and_gradient(list(loads))
+        assert (solved[3] is None) == (len(x) == 1)
+        _assert_settled(solved, spec)
+        loads = solved[0]
         want, _ = _dual_solve(x, spec, cfg)
         for a, b in zip(loads, want):
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def test_hint_whose_costate_overflows_pow_falls_back(self, monkeypatch):
         # gradient ratios near 1e-151 raised to 1/alpha = 3.3 overflow a
-        # double, so the hint gives no start; the solve falls back to the
-        # continuation from zero load, whose first target is v_1/8
+        # double, so the hint gives no start and nothing is shot from it; the
+        # solve falls back to the continuation from zero load, whose first
+        # target is v_1/8
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(0.3)
         targets = _spy_targets(monkeypatch)
         p = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10]))[0]
-        assert targets[:2] == [cfg.v_limit, 1.0 + 0.125 * (cfg.v_limit - 1.0)]
+        assert targets[0] == 1.0 + 0.125 * (cfg.v_limit - 1.0)
         assert targets[-1] == cfg.v_limit
         want, _ = _dual_solve((1, 1, 1), spec, cfg)
         for a, b in zip(p, want):
             assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
 
-    def test_newly_emptied_station_recomputes_the_start(self, monkeypatch):
-        # the hint's gradient was taken with the emptied station's power in
-        # it, so the shot must start from a gradient on the powers it keeps
+    def test_newly_emptied_station_moves_the_carried_start(self, monkeypatch):
+        # the emptied station's load leaves V_N through its own g_1 q_1, so
+        # the shot starts at the hint's b_2 and log c + g_1 q_1 / J_12,
+        # with g from stationarity, and no adjoint pass is taken
         cfg = NetworkConfig(6, 1.3, 0.2)
         spec = FairnessSpec(1.0)
         hint = _binding_solve((40, 1, 25, 60, 10, 30), spec, cfg)
-        kept = list(hint[0])
-        kept[1] = 0.0
-        shots = _spy_shooting(monkeypatch)
+        loads, was, _, (beta, ell, b_n), jac = hint
+        grad = _root_voltage_and_gradient(list(loads))[1]
+        for k, q in enumerate(loads):
+            # stationarity: g_k = (x_k / q_k)^alpha e^(-log c) / b_N
+            g = (was[k] / q) ** spec.alpha * math.exp(-ell) / b_n
+            assert g == pytest.approx(grad[k], rel=1e-9)
+        starts = []
+        shot = allocator._damped_shot
+
+        def spy(*args):
+            starts.append(args[3:5])
+            return shot(*args)
+
+        monkeypatch.setattr(allocator, "_damped_shot", spy)
         gradients = _count_gradients(monkeypatch)
         x = (40, 0, 25, 60, 10, 30)
-        carried = _binding_solve(x, spec, cfg, hint)
-        assert gradients[0] == tuple(kept)
-        fresh = _binding_solve(x, spec, cfg, _hint(kept, hint[3]))
-        assert None not in shots
-        assert repr(carried) == repr(fresh)
+        solved = _binding_solve(x, spec, cfg, hint)
+        assert gradients == []
+        assert len(starts) == 1
+        assert starts[0][0] == beta
+        assert starts[0][1] == pytest.approx(ell + grad[1] * loads[1] / jac[1], rel=1e-12)
+        _assert_settled(solved, spec)
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(solved[0], want):
+            assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def _newly_occupied(self):
         # station 2 was empty in the hint's state, so the hint leaves it
@@ -579,9 +642,10 @@ class TestWarmChain:
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
         q = _binding_solve(x, spec, cfg, hint)[0]
-        # the hint's own gradient starts the shot; only the closing one is taken
+        # the new station's g is not known from stationarity: one adjoint
+        # pass on the hint's loads starts the shot, and none closes it
         assert len(shots) == 1 and shots[0] is not None
-        assert gradients == [q]
+        assert gradients == [hint[0]]
         p = [v / cfg.resistance for v in q]
         slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
         assert abs(slack) <= 1e-9
@@ -593,8 +657,8 @@ class TestWarmChain:
 
 class TestColdStart:
     """A hint-less solve starts its shot from the linearized closed form,
-    with one adjoint gradient taken there, just as a warm solve starts from
-    its hint."""
+    with one adjoint gradient taken there, just as a warm solve whose hint
+    gains a station starts from the hint's loads."""
 
     CASES = [
         ((3, 0, 1, 2), 2.0, NetworkConfig(4, 1.0, 0.15)),
@@ -603,18 +667,17 @@ class TestColdStart:
     ]
 
     @pytest.mark.parametrize("x,alpha,cfg", CASES)
-    def test_shoots_once_on_two_gradients(self, monkeypatch, x, alpha, cfg):
+    def test_shoots_once_on_one_gradient(self, monkeypatch, x, alpha, cfg):
         # the solve runs on unit resistance, where the loads are the powers
         spec = FairnessSpec(alpha)
         unit = replace(cfg, resistance=1.0)
         seed = alpha_fair_lindist(x, spec, unit).p
-        loads = alpha_fair_distflow(x, spec, unit).p
         shots = _spy_shooting(monkeypatch)
         gradients = _count_gradients(monkeypatch)
         alpha_fair_distflow(x, spec, cfg)
         assert len(shots) == 1 and shots[0] is not None
-        # one gradient on the seed starts the shot, one on the answer ends it
-        assert gradients == [seed, loads]
+        # one gradient on the seed starts the shot; none ends it
+        assert gradients == [seed]
 
 
 
@@ -630,10 +693,11 @@ class TestHardMix:
             if cfg.n_stations > 80:
                 continue
             first = len(shots)
-            p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
+            p, _, v_n = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
             if cfg.n_stations > 1:  # one station takes its closed form unshot
                 unsettled += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+            grad = _root_voltage_and_gradient(list(p))[1]
             # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
             ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
             assert max(ratios) / min(ratios) - 1.0 <= 1e-8
@@ -649,10 +713,11 @@ class TestHardMix:
         # V_N tolerance, and the solve still lands on the constraint
         x, alpha, cfg = hard_allocation_cases(5, 950)[949]
         shots = _spy_shooting(monkeypatch)
-        p, v_n, grad = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
+        p, _, v_n = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
         assert len(shots) == 1 and shots[0] is not None
         assert abs(shots[0][2] - cfg.v_limit) >= 1e-12 * cfg.v_limit
         assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+        grad = _root_voltage_and_gradient(list(p))[1]
         ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
         assert max(ratios) / min(ratios) - 1.0 <= 1e-8
 
@@ -687,14 +752,14 @@ class TestTinyAlpha:
     @pytest.mark.parametrize(
         "grad", [[1.0, 0.1], [1e300, 1e-300]], ids=["overflow", "zero-division"]
     )
-    def test_damped_shot_without_a_start_in_the_floats_gives_none(self, grad):
+    def test_gradient_start_out_of_the_floats_gives_none(self, grad):
         # (g_1 / g_0)^(-1000) overflows, or g_1 / g_0 underflows to 0
         args = ((1, 1), [0, 1], 1000.0, 1.1, [0.0, 0.0], 1.0, grad)
-        assert allocator._damped_shot(*args) is None
+        assert allocator._gradient_start(*args) is None
 
 
-class TestDampedShotStart:
-    """`_damped_shot` gives no start, and shoots nothing, where the start's
+class TestGradientStart:
+    """`_gradient_start` gives no start, and shoots nothing, where the start's
     gradient or linearized V_N gives no multiplier."""
 
     @pytest.mark.parametrize("g1", [0.0, -1.0, math.nan])
@@ -702,7 +767,7 @@ class TestDampedShotStart:
         shots = []
         monkeypatch.setattr(allocator, "_shoot", lambda *args: shots.append(args))
         args = ((1, 1), [0, 1], 1.0, 1.1, [0.0, 0.0], 1.0, [2.0, g1])
-        assert allocator._damped_shot(*args) is None
+        assert allocator._gradient_start(*args) is None
         assert shots == []
 
     @pytest.mark.parametrize(
@@ -716,7 +781,7 @@ class TestDampedShotStart:
         shots = []
         monkeypatch.setattr(allocator, "_shoot", lambda *args: shots.append(args))
         args = ((1, 1), [0, 1], 1.0, target, [0.0, 0.0], v_n, grad)
-        assert allocator._damped_shot(*args) is None
+        assert allocator._gradient_start(*args) is None
         assert shots == []
 
 
@@ -755,7 +820,7 @@ class TestShootValues:
     @example(counts=[0, 3, 0, 2], alpha=1.0, beta=-0.5, ell=0.0)  # both None
     @example(counts=[2, 0, 1, 1], alpha=0.25, beta=0.7, ell=3.0)
     def test_values_match_shoot_bit_for_bit(self, counts, alpha, beta, ell):
-        # the tangents never feed the loads, V_N or the costate ratio;
+        # the tangents never feed the loads, V_N, the costate ratio or b_N;
         # repr tells every bit of a double apart
         args = (tuple(counts), 1.0 / alpha, beta, ell)
         try:
@@ -768,7 +833,7 @@ class TestShootValues:
         if shot is None:
             assert values is None
         else:
-            assert repr(values) == repr(shot[:3])
+            assert repr(values) == repr(shot[:4])
 
 
 class TestRouteConsistency:
