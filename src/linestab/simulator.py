@@ -166,12 +166,12 @@ def _make_allocator(
 
     A Lindist miss evaluates the closed form inline.  A Distflow miss goes
     through the binding solve and `_powers`, warm-started from the last
-    solve's return, typically one vehicle away: its loads and the occupancy
-    they solve, whose difference from the miss's moves the unknowns its
-    shot settled on into the next shot's start, and the Jacobian that shot
-    ended with, which steps the next one.  Where the miss occupies a
-    station the last solve left empty, the start takes one adjoint
-    gradient on the last solve's loads instead.  A hit, the
+    solve's return, typically one vehicle away: its loads, the occupancy
+    they solve and the unknowns its shot settled on, which, moved for the
+    counts that changed, start the next shot, and the Jacobian that shot
+    ended with, which steps it.  Where the miss occupies a station the
+    last solve left empty, the start takes one adjoint gradient on the
+    last solve's loads instead.  A hit, the
     empty feeder included, leaves that hint as it is.  Either model raises
     AllocationError, naming alpha, on a state whose split leaves the
     doubles: a weight power out of double range is stored as inf, so it
