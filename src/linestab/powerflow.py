@@ -178,7 +178,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     s = a / (n * n)
     v_prev, v = 1.0, 1.0 + s
     t_prev, t = 0.0, 1.0
-    for _ in range(n - 1):
+    for _ in itertools.repeat(None, n - 1):
         t, t_prev = 2.0 * t - t_prev + 1.0 / v - s * t / (v * v), t
         v, v_prev = 2.0 * v - v_prev + s / v, v
     return v, t
