@@ -170,7 +170,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     of that gradient to within 2e-14 n relative.  Newton runs this pass once
     per iterate it evaluates, 2 to 11 times per threshold at n up to 10^5,
     where the adjoint pass, with its stored profile and gradient list, costs
-    1.4 to 1.8 times as much.  A caller that reads V[n] alone runs
+    1.6 to 1.7 times as much.  A caller that reads V[n] alone runs
     `_uniform_root_voltage` instead, at about a third of the cost.
     Defined for every a >= 0: V stays finite and increasing, and Y[n] > 0.
     """
@@ -178,6 +178,7 @@ def distflow_sensitivity(a: float, n: int) -> tuple[float, float]:
     s = a / (n * n)
     v_prev, v = 1.0, 1.0 + s
     t_prev, t = 0.0, 1.0
+    # no counter: range would make a new int at every step past 256
     for _ in itertools.repeat(None, n - 1):
         t, t_prev = 2.0 * t - t_prev + 1.0 / v - s * t / (v * v), t
         v, v_prev = 2.0 * v - v_prev + s / v, v

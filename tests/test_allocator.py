@@ -378,10 +378,14 @@ def _count_tangent_sweeps(monkeypatch) -> list:
     return calls
 
 
-def _one_vehicle_walk(n: int, alpha: float) -> tuple:
-    """A seeded feeder and 41 heavy states, each one vehicle from the last."""
+def _one_vehicle_walk(n: int, alpha: float, delta: "float | None" = None) -> tuple:
+    """A seeded feeder and 41 heavy states, each one vehicle from the last.
+
+    delta, if given, replaces the feeder's drawn delta; the states stay.
+    """
     rng = random.Random(1000 * n + int(4 * alpha))
-    cfg = NetworkConfig(n, rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.5))
+    r, drawn = rng.uniform(0.1, 5.0), rng.uniform(0.05, 0.5)
+    cfg = NetworkConfig(n, r, drawn if delta is None else delta)
     total = 10.0 ** rng.uniform(2.0, 3.5)
     x = [max(1, int(total / n * rng.uniform(0.2, 1.8))) for _ in range(n)]
     states = [tuple(x)]
@@ -424,6 +428,40 @@ def _spy_targets(monkeypatch) -> list:
     return targets
 
 
+def _check_walk(monkeypatch, n: int, alpha: float, delta: "float | None" = None) -> None:
+    """Warm-solve a one-vehicle walk, each state from the last, against the oracles."""
+    cfg, states = _one_vehicle_walk(n, alpha, delta)
+    spec = FairnessSpec(alpha)
+    solved = _binding_solve(states[0], spec, cfg)
+    shots = _spy_shooting(monkeypatch)
+    gradients = _count_gradients(monkeypatch)
+    for prev, x in zip(states, states[1:]):
+        before = len(gradients)
+        hint, solved = solved, _binding_solve(x, spec, cfg, solved)
+        _assert_settled(solved, spec)
+        p = [q / cfg.resistance for q in solved[0]]
+        if any(b and not a for a, b in zip(prev, x)):
+            # a newly occupied station: one adjoint pass on the hint's
+            # loads starts the shot
+            kept = tuple(h if b else 0.0 for h, b in zip(hint[0], x))
+            assert gradients[before:] == [kept]
+        else:
+            # the hint's settled shot starts this one; no pass is taken
+            assert len(gradients) == before
+        slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
+        assert abs(slack) <= 1e-9
+        want, _ = _dual_solve(x, spec, cfg)
+        for a, b in zip(p, want):
+            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+    # every warm solve shoots, a newly occupied station included
+    assert len(shots) == 40
+    assert all(s is not None for s in shots)
+    # after 40 warm solves the powers sit on the 40-digit KKT point
+    want = kkt_point_mp(x, alpha, cfg.resistance, cfg.delta)
+    for a, b in zip(p, want):
+        assert a == pytest.approx(b, rel=1e-12 if n <= 20 else 3e-11, abs=0.0)
+
+
 class TestWarmChain:
     """The simulator's path: every solve is warm-started from the powers of
     the state before it, one vehicle away, and must land where a cold
@@ -433,36 +471,14 @@ class TestWarmChain:
     @pytest.mark.parametrize("n", [5, 20, 80])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_one_vehicle_walks_match_the_dual_oracle(self, monkeypatch, n, alpha):
-        cfg, states = _one_vehicle_walk(n, alpha)
-        spec = FairnessSpec(alpha)
-        solved = _binding_solve(states[0], spec, cfg)
-        shots = _spy_shooting(monkeypatch)
-        gradients = _count_gradients(monkeypatch)
-        for prev, x in zip(states, states[1:]):
-            before = len(gradients)
-            hint, solved = solved, _binding_solve(x, spec, cfg, solved)
-            _assert_settled(solved, spec)
-            p = [q / cfg.resistance for q in solved[0]]
-            if any(b and not a for a, b in zip(prev, x)):
-                # a newly occupied station: one adjoint pass on the hint's
-                # loads starts the shot
-                kept = tuple(h if b else 0.0 for h, b in zip(hint[0], x))
-                assert gradients[before:] == [kept]
-            else:
-                # the hint's settled shot starts this one; no pass is taken
-                assert len(gradients) == before
-            slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
-            assert abs(slack) <= 1e-9
-            want, _ = _dual_solve(x, spec, cfg)
-            for a, b in zip(p, want):
-                assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
-        # every warm solve shoots, a newly occupied station included
-        assert len(shots) == 40
-        assert all(s is not None for s in shots)
-        # after 40 warm solves the powers sit on the 40-digit KKT point
-        want = kkt_point_mp(x, alpha, cfg.resistance, cfg.delta)
-        for a, b in zip(p, want):
-            assert a == pytest.approx(b, rel=1e-12 if n <= 20 else 3e-11, abs=0.0)
+        _check_walk(monkeypatch, n, alpha)
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_small_delta_walks_match_the_kkt_point(self, monkeypatch, n):
+        # the warm phase stops with V_N up to 1e-13 v_limit off the cap,
+        # which moves the powers by about that over delta; at delta = 0.01
+        # the last state must still land within the walks' 1e-12
+        _check_walk(monkeypatch, n, 1.0, delta=0.01)
 
     def test_warm_solves_step_on_value_only_sweeps(self, monkeypatch):
         # each solve carries its Jacobian to the next, whose quasi-Newton
