@@ -29,6 +29,14 @@ def test_allocate_bytes(name, flags, capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / name).read_bytes()
 
 
+def test_allocate_lindist_bytes(capsysbinary):
+    # the README example under the linearized model: alpha_fair_lindist's
+    # closed form at the default resistance 1
+    assert main(["allocate", *ALLOCATE_CASES[0][1], "--model", "lindist"]) == 0
+    expected = (GOLDEN / "allocate_lindist_readme.csv").read_bytes()
+    assert capsysbinary.readouterr().out == expected
+
+
 @pytest.mark.parametrize("name,flags", ALLOCATE_CASES, ids=[c[0] for c in ALLOCATE_CASES])
 def test_allocate_powers_are_the_kkt_point(name, flags):
     # every printed power lies within 5e-13 relative of the 40-digit KKT
