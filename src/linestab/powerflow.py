@@ -72,6 +72,11 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 0.5], got {delta!r}")
 
 
+def _w_headroom(delta: float) -> float:
+    # w_limit - 1 without cancellation: delta (2 - delta) / (1 - delta)^2
+    return delta * (2.0 - delta) / ((1.0 - delta) ** 2)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of the feeder.
@@ -104,8 +109,8 @@ class NetworkConfig:
 
     @property
     def w_headroom(self) -> float:
-        """w_limit - 1, evaluated without cancellation: delta (2 - delta) / (1 - delta)^2."""
-        return self.delta * (2.0 - self.delta) / ((1.0 - self.delta) ** 2)
+        """w_limit - 1, evaluated without cancellation by `_w_headroom`."""
+        return _w_headroom(self.delta)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .powerflow import (
     _check_delta,
     _check_resistance,
     _uniform_root_voltage,
+    _w_headroom,
     distflow_sensitivity,
 )
 from .specfun import erfi, f0
@@ -121,7 +122,7 @@ def lambda_lin_critical(r: float, delta: float) -> float:
     """Scaled large-N limit of the linearized threshold, headroom / r."""
     _check_resistance(r)
     _check_delta(delta)
-    return delta * (2.0 - delta) / ((1.0 - delta) ** 2 * r)
+    return _w_headroom(delta) / r
 
 
 def lambda_dist_critical(r: float, delta: float) -> float:
