@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from linestab.allocator import AllocationError, FairnessSpec, _as_counts, _lin_weights
+from linestab.allocator import AllocationError, FairnessSpec, _as_counts
 from linestab.powerflow import (
     NetworkConfig,
     PowerAllocation,
@@ -524,7 +524,7 @@ def _dual_solve(
 
     # linearized closed form seeds both mu and p; at p = 0 the Distflow
     # gradient equals the linearized weights, so the seed is already close
-    w = _lin_weights(cfg)
+    w = [2.0 * r * (n - j) for j in range(n)]
     if mu_hint is not None and mu_hint > 0.0 and math.isfinite(mu_hint):
         mu_seed = mu_hint
     else:
