@@ -7,18 +7,18 @@ keep the voltage profile feasible, with
     U_alpha(y) = y^(1 - alpha) / (1 - alpha)   (alpha != 1),
     U_1(y) = log y.
 
-Under the linearized model the feasibility set is the half space
-sum_j w_j p_j <= headroom with weights w_j = 2 r (N - j), and the KKT
-conditions collapse to a closed form.  Under full Distflow the constraint
-surface is curved; its solve runs on the loads q = r p of a unit-resistance
-feeder, and `_powers` divides them by r.  One station takes the whole
-headroom; every other solve shoots on two unknowns, as below.  A warm
-solve, handed the previous solve's return as a hint by the simulator,
-starts from the unknowns that solve settled on, with log c moved in O(1)
-for the counts that changed.  Where a station gains its first vehicle,
-where that move leaves the doubles, and without a hint, the start comes
-from loads with the V_N and O(N) adjoint gradient on them: the hint's
-loads, else the linearized closed form.
+Under the linearized model the feasibility set is the half space sum_j w_j
+p_j <= headroom with weights w_j = 2 r (N - j), and the KKT conditions
+collapse to a closed form.  Under full Distflow the constraint surface is
+curved.  Both splits run on the loads q = r p of a unit-resistance feeder,
+and `_powers` divides them by r.  One station takes the whole headroom;
+every other Distflow solve shoots on two unknowns, as below.  A warm solve,
+handed the previous solve's return as a hint by the simulator, starts from
+the unknowns that solve settled on, with log c moved in O(1) for the counts
+that changed.  Where a station gains its first vehicle, where that move
+leaves the doubles, and without a hint, the start comes from loads with the
+V_N and O(N) adjoint gradient on them: the hint's loads, else the
+linearized closed form.
 
 The KKT conditions are a two-point recursion: voltages run out from the
 far end, and the costate b_k = dV_N/dV_k obeys the adjoint recursion,
@@ -100,11 +100,6 @@ def _as_counts(x: Sequence[int], n: int) -> tuple[int, ...]:
     return counts
 
 
-def _lin_weights(cfg: NetworkConfig) -> list[float]:
-    n = cfg.n_stations
-    return [2.0 * cfg.resistance * (n - j) for j in range(n)]
-
-
 def _range_error(alpha: float) -> AllocationError:
     # the fair split's powers would come out zero, infinite or undefined
     return AllocationError(f"alpha = {alpha!r} takes the weights w^(-1/alpha) out of double range")
@@ -120,20 +115,22 @@ def alpha_fair_lindist(
 
         p_j = x_j w_j^(-1/alpha) * headroom / sum_k x_k w_k^(1 - 1/alpha).
 
-    The constraint binds whenever any station is occupied.  Raises
-    AllocationError where the powers of w leave the doubles (alpha near 0).
+    It runs on the unit weights 2 (N - j); `_powers` divides by r.  The
+    constraint binds whenever any station is occupied.  Raises
+    AllocationError naming alpha where the weights' powers leave the
+    doubles (alpha near 0), or a station whose power is not normal.
     """
     counts = _as_counts(x, cfg.n_stations)
     if all(v == 0 for v in counts):
         return PowerAllocation(p=(0.0,) * cfg.n_stations)
-    return PowerAllocation(p=_lin_split(counts, spec.alpha, _lin_weights(cfg), cfg.w_headroom))
+    q = _lin_split(counts, spec.alpha, cfg.w_headroom)
+    return PowerAllocation(p=_powers(counts, q, cfg.resistance, spec.alpha))
 
 
-def _lin_split(
-    counts: tuple[int, ...], alpha: float, w: list[float], headroom: float
-) -> list[float]:
-    """The linearized closed form on weights w for an occupied state."""
+def _lin_split(counts: tuple[int, ...], alpha: float, headroom: float) -> list[float]:
+    """The closed form's loads q = r p for an occupied state, on the unit weights 2 (N - j)."""
     inv_alpha = 1.0 / alpha
+    w = [2.0 * (len(counts) - j) for j in range(len(counts))]
     try:
         scale = headroom / math.fsum(
             counts[j] * w[j] ** (1.0 - inv_alpha) for j in range(len(counts)) if counts[j] > 0
@@ -580,7 +577,7 @@ def _binding_solve(
     start = None if hint is None else _warm_start(counts, spec.alpha, hint)
     if start is None:
         if hint is None:
-            q = _lin_split(counts, spec.alpha, [2.0 * (n - j) for j in range(n)], cfg.w_headroom)
+            q = _lin_split(counts, spec.alpha, cfg.w_headroom)
         else:
             q = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
         v_n, grad = _root_voltage_and_gradient(q)

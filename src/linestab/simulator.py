@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -36,9 +37,8 @@ from .allocator import (
     AllocationError,
     FairnessSpec,
     _binding_solve,
-    _lin_weights,
+    _lin_split,
     _powers,
-    _range_error,
 )
 from .powerflow import NetworkConfig, PowerModel
 
@@ -164,36 +164,32 @@ def _make_allocator(
     1.5 us, while an overloaded run barely revisits a state and storing
     every one would only add memory.
 
-    A Lindist miss evaluates the closed form inline.  A Distflow miss goes
-    through the binding solve and `_powers`, warm-started from the last
-    solve's return, typically one vehicle away: its loads, the occupancy
-    they solve and the unknowns its shot settled on, which, moved for the
-    counts that changed, start the next shot, and the Jacobian that shot
-    ended with, which steps it.  Where the miss occupies a station the
-    last solve left empty, the start takes one adjoint gradient on the
-    last solve's loads instead.  A hit, the
-    empty feeder included, leaves that hint as it is.  Either model raises
-    AllocationError, naming alpha, on a state whose split leaves the
-    doubles: a weight power out of double range is stored as inf, so it
-    fails only the states that occupy its station.  Distflow raises one
-    naming its last residuals, or a station's power, where the solve does
-    not settle or its power is not a normal double.
+    A Lindist miss evaluates the closed form inline, on the unit weights 2
+    (N - j), with r in its scale.  A Distflow miss goes through the binding
+    solve and `_powers`, warm-started from the last solve's return,
+    typically one vehicle away: its loads, the occupancy they solve and the
+    unknowns its shot settled on, which, moved for the counts that changed,
+    start the next shot, and the Jacobian that shot ended with, which steps
+    it.  Where the miss occupies a station the last solve left empty, the
+    start takes one adjoint gradient on the last solve's loads instead.  A
+    hit, the empty feeder included, leaves that hint as it is.  Either
+    split raises AllocationError where its public allocator does, with its
+    message: naming alpha, a station's power at the true r, or Distflow's
+    last residuals.
     """
     n = net.n_stations
     alpha = spec.alpha
     inv_alpha = 1.0 / alpha
 
     if model is PowerModel.LINDIST:
-        def power(w: float, e: float) -> float:
-            try:
-                return w**e
-            except OverflowError:
-                return math.inf
-
-        weights = _lin_weights(net)
-        w_neg = [power(w, -inv_alpha) for w in weights]
-        w_pos = [power(w, 1.0 - inv_alpha) for w in weights]
+        # the unit weights 2 (N - j) >= 2, raised to powers below 1, stay finite
+        w_neg = [(2.0 * (n - j)) ** -inv_alpha for j in range(n)]
+        w_pos = [(2.0 * (n - j)) ** (1.0 - inv_alpha) for j in range(n)]
         headroom = net.w_headroom
+        r = net.resistance
+        # every occupied station's power is at least least * scale
+        least = min(w_neg)
+        normal = sys.float_info.min
         bound = _LINDIST_STATES
 
         def split(key: tuple[int, ...]) -> tuple[list[float], float]:
@@ -201,12 +197,16 @@ def _make_allocator(
             for xj, wj in zip(key, w_pos):
                 if xj > 0:
                     denom += xj * wj
-            scale = headroom / denom if denom else 0.0
+            scale = headroom / denom / r if denom else 0.0
             p = [xj * wj * scale if xj > 0 else 0.0 for xj, wj in zip(key, w_neg)]
             total = math.fsum(p)
-            # the cache answers the empty feeder: an occupied one must draw power
-            if not 0.0 < total < math.inf:
-                raise _range_error(alpha)
+            # the cache answers the empty feeder: an occupied one must draw
+            # power.  Where the scale or a power may have left the normal
+            # doubles, split as alpha_fair_lindist does, which answers or
+            # fails as it does
+            if not 0.0 < total < math.inf or least * scale < normal:
+                p = _powers(key, _lin_split(key, alpha, headroom), r, alpha)
+                total = math.fsum(p)
             return p, total
 
     else:

@@ -740,21 +740,26 @@ class TestHardMix:
 
 class TestTinyAlpha:
     """At alpha near 0 the weights' powers w^(-1/alpha) leave the doubles;
-    that is a failure naming alpha, never a silent zero or a bare
-    arithmetic error."""
+    that is a failure naming alpha, or the station whose power underflows,
+    never a silent zero or a bare arithmetic error."""
 
     SPEC = FairnessSpec(0.001)
 
     def test_closed_form_with_every_power_underflowing(self):
-        # w = 6, 4, 2: only the station next to the root keeps a
-        # representable w^(1 - 1/alpha)
-        cfg = NetworkConfig(3, 1.0, 0.1)
-        with pytest.raises(AllocationError, match="alpha = 0.001"):
-            alpha_fair_lindist([1, 0, 0], self.SPEC, cfg)
-        assert alpha_fair_lindist([1, 1, 1], self.SPEC, cfg).p == pytest.approx(
-            (0.0, 0.0, cfg.w_headroom / 2.0), rel=1e-15
-        )
-        assert alpha_fair_lindist([0, 0, 0], self.SPEC, cfg).p == (0.0,) * 3
+        # unit weights w = 6, 4, 2 at any r: only the station next to the
+        # root keeps representable powers, w^(-1/alpha) = 2^-1000, so the
+        # same states fail at every r
+        for r in (1.0, 0.1, 1e-10):
+            cfg = NetworkConfig(3, r, 0.1)
+            with pytest.raises(AllocationError, match="alpha = 0.001"):
+                alpha_fair_lindist([1, 0, 0], self.SPEC, cfg)
+            msg = f"station 0's power 0.0 at r = {r!r}, alpha = 0.001 is not a normal double"
+            with pytest.raises(AllocationError, match=re.escape(msg)):
+                alpha_fair_lindist([1, 1, 1], self.SPEC, cfg)
+            # 2^-1000 times the scale headroom 2^999 halves the headroom exactly
+            want = (0.0, 0.0, cfg.w_headroom / 2.0 / r)
+            assert alpha_fair_lindist([0, 0, 1], self.SPEC, cfg).p == want
+            assert alpha_fair_lindist([0, 0, 0], self.SPEC, cfg).p == (0.0,) * 3
 
     @pytest.mark.parametrize("r", [1.0, 0.1])
     def test_distflow(self, r):
@@ -802,8 +807,25 @@ class TestGradientStart:
 
 
 class TestUnitResistance:
-    """Every Distflow solve runs on unit resistance; r only divides the
-    loads it returns."""
+    """Both splits run on unit resistance; r only divides the loads they
+    return."""
+
+    @settings(max_examples=300)
+    @given(
+        x=st.lists(st.integers(0, 6), min_size=1, max_size=8).filter(any),
+        alpha=st.floats(math.log(1e-3), math.log(4.0)).map(math.exp),
+        delta=st.floats(0.01, 0.5),
+        log_r=st.floats(-307.0, 308.0),
+    )
+    def test_lindist_powers_are_the_unit_powers_over_r(self, x, alpha, delta, log_r):
+        r = 10.0**log_r
+        spec = FairnessSpec(alpha)
+        try:
+            unit = alpha_fair_lindist(x, spec, NetworkConfig(len(x), 1.0, delta)).p
+            got = alpha_fair_lindist(x, spec, NetworkConfig(len(x), r, delta)).p
+        except AllocationError:
+            return
+        assert got == tuple(v / r for v in unit)
 
     @settings(max_examples=60)
     @given(

@@ -301,6 +301,35 @@ class TestAllocateCmd:
         assert "station 0's power 2.8667265212506e-310 at r = 1e+308, alpha = 2.0" in err
         assert "is not a normal double" in err
 
+    def test_lindist_split_at_tiny_resistance_is_the_unit_split_over_r(self, capsys):
+        # the unit weights' powers stay in the doubles; 2 r (N - j) raised
+        # to -1/alpha = -2 did not at r = 1e-170
+        argv = ["allocate", "--model", "lindist", "--x", "1,2", "--delta", "0.1",
+                "--alpha", "0.5"]
+        rows = _run(capsys, *argv, "--r", "1e-170")
+        spec = FairnessSpec(0.5)
+        unit = alpha_fair_lindist((1, 2), spec, NetworkConfig(2, 1.0, 0.1)).p
+        assert [float(row[2]) for row in rows[1:3]] == [
+            float(format(v / 1e-170, ".15g")) for v in unit
+        ]
+
+    @pytest.mark.parametrize("model", ["lindist", "distflow"])
+    def test_huge_resistance_is_a_solver_failure_naming_the_station(self, capsys, model):
+        code = main(["allocate", "--x", "1,2", "--delta", "0.1", "--r", "1e308",
+                     "--model", model])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "station 0's power " in err and "at r = 1e+308" in err
+        assert "takes the weights" not in err
+
+    def test_underflowing_lindist_power_is_a_solver_failure_naming_it(self, capsys):
+        # w^(-1/alpha) = 6^(-1000) underflows, where the split used to print 0
+        code = main(["allocate", "--model", "lindist", "--x", "1,1,1", "--delta", "0.1",
+                     "--alpha", "0.001"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "station 0's power 0.0 at r = 1.0, alpha = 0.001 is not a normal double" in err
+
     def test_infinite_alpha_exits_2_naming_finite(self, capsys):
         err = _exits_2(capsys, "allocate", "--x", "1,2", "--delta", "0.1", "--alpha", "inf")
         assert "alpha must be positive and finite, got inf" in err

@@ -12,6 +12,7 @@ below the tested effect.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -257,17 +258,24 @@ class TestAllocatorBridge:
             assert _make_allocator(*config)(x_next) != want
 
     def test_tiny_alpha_overflow_fails_naming_alpha(self):
-        # r = 0.1 gives the weights w = 0.6, 0.4, 0.2: w^(-1/alpha)
-        # overflows on stations 1 and 2 alone, so only states that occupy
-        # them fail, and station 0 still gets the closed form
-        net = NetworkConfig(3, 0.1, 0.1)
+        # the split runs on the unit weights 6, 4, 2 at any r, whose powers
+        # never overflow, so the states that fail do not depend on r: every
+        # power of (1, 0, 0) underflows, station 0 of (1, 1, 1) gets 0.0,
+        # and (0, 0, 1) gets the closed form.  At r = 1e-10 the scale
+        # headroom / (2^-999 r) overflows, and the split is redone as
+        # alpha_fair_lindist does it
         spec = FairnessSpec(0.001)
-        solve = _make_allocator(PowerModel.LINDIST, spec, net)
-        with pytest.raises(AllocationError, match="alpha = 0.001"):
-            solve((0, 0, 1))
-        p, total = solve((1, 0, 0))
-        assert tuple(p) == alpha_fair_lindist((1, 0, 0), spec, net).p
-        assert p[0] == total == 0.39094650205761305
+        for r in (1.0, 0.1, 1e-10):
+            net = NetworkConfig(3, r, 0.1)
+            solve = _make_allocator(PowerModel.LINDIST, spec, net)
+            with pytest.raises(AllocationError, match="alpha = 0.001"):
+                solve((1, 0, 0))
+            msg = f"station 0's power 0.0 at r = {r!r}, alpha = 0.001 is not a normal double"
+            with pytest.raises(AllocationError, match=re.escape(msg)):
+                solve((1, 1, 1))
+            p, total = solve((0, 0, 1))
+            assert tuple(p) == alpha_fair_lindist((0, 0, 1), spec, net).p
+            assert p[2] == total == net.w_headroom / 2.0 / r
 
     @example(x=[0, 0, 1], alpha=0.001, r=0.1, delta=0.1)
     @example(x=[1, 0, 0], alpha=0.001, r=0.1, delta=0.1)
@@ -288,6 +296,35 @@ class TestAllocatorBridge:
         except AllocationError:
             with pytest.raises(AllocationError, match=f"alpha = {alpha!r}"):
                 solve(x)
+            return
+        p, _ = solve(x)
+        for got, ref in zip(p, want):
+            assert abs(got - ref) <= 4 * len(x) * math.ulp(ref)
+
+    @example(x=[0, 0, 1], alpha=0.001, log_r=-10.0, delta=0.1)
+    @example(x=[1, 1, 1], alpha=0.001, log_r=-10.0, delta=0.1)
+    @given(
+        x=st.lists(st.integers(0, 3), min_size=1, max_size=8).filter(any),
+        alpha=st.floats(math.log(1e-3), math.log(4.0)).map(math.exp),
+        log_r=st.floats(-300.0, 300.0),
+        delta=st.floats(0.01, 0.5),
+    )
+    def test_lindist_split_fails_as_the_closed_form_does_at_any_r(
+        self, x, alpha, log_r, delta
+    ):
+        # the scale headroom / denom / r can leave the doubles where the
+        # unit split over r does not; either way both answer, or both fail
+        # with one message
+        r = 10.0**log_r
+        net = NetworkConfig(len(x), r, delta)
+        spec = FairnessSpec(alpha)
+        solve = _make_allocator(PowerModel.LINDIST, spec, net)
+        try:
+            want = alpha_fair_lindist(x, spec, net).p
+        except AllocationError as exc:
+            with pytest.raises(AllocationError) as got:
+                solve(x)
+            assert str(got.value) == str(exc)
             return
         p, _ = solve(x)
         for got, ref in zip(p, want):
