@@ -751,7 +751,7 @@ class TestTinyAlpha:
         # same states fail at every r
         for r in (1.0, 0.1, 1e-10):
             cfg = NetworkConfig(3, r, 0.1)
-            with pytest.raises(AllocationError, match="alpha = 0.001"):
+            with pytest.raises(AllocationError, match="alpha = 0.001 takes the weights"):
                 alpha_fair_lindist([1, 0, 0], self.SPEC, cfg)
             msg = f"station 0's power 0.0 at r = {r!r}, alpha = 0.001 is not a normal double"
             with pytest.raises(AllocationError, match=re.escape(msg)):

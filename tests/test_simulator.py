@@ -268,7 +268,7 @@ class TestAllocatorBridge:
         for r in (1.0, 0.1, 1e-10):
             net = NetworkConfig(3, r, 0.1)
             solve = _make_allocator(PowerModel.LINDIST, spec, net)
-            with pytest.raises(AllocationError, match="alpha = 0.001"):
+            with pytest.raises(AllocationError, match="alpha = 0.001 takes the weights"):
                 solve((1, 0, 0))
             msg = f"station 0's power 0.0 at r = {r!r}, alpha = 0.001 is not a normal double"
             with pytest.raises(AllocationError, match=re.escape(msg)):
