@@ -16,8 +16,8 @@ every other Distflow solve shoots on two unknowns, as below.  A warm solve,
 handed the previous solve's return as a hint by the simulator, starts from
 the unknowns that solve settled on, with log c moved in O(1) for the counts
 that changed.  Where a station gains its first vehicle, where that move
-leaves the doubles, and without a hint, the start comes from loads with the
-V_N and O(N) adjoint gradient on them: the hint's loads, else the
+leaves the doubles, and without a hint, the start takes a solve's one O(N)
+adjoint gradient, on loads with their V_N: the hint's loads, else the
 linearized closed form.
 
 The KKT conditions are a two-point recursion: voltages run out from the
@@ -42,10 +42,10 @@ Newton's steps are damped: a step that loses the costate sign, leaves
 the floats or does not lower the residual is halved, and a start whose
 first sweep fails backs off toward smaller loads.  Should the damped
 shot still give up, it is continued in the headroom from zero load, where
-the costate is known, out to v_limit.  At large N a shot is accurate to
-about N^2 ulps of the costate, whose last entry b_N is about b_1 / N: up
-to 7e-11 relative in the powers at N = 140 to 200, against a 40-digit KKT
-solve.  Empty stations always get zero power.
+the costate is known, out to v_limit, each step shot as a warm solve is.
+At large N a shot is accurate to about N^2 ulps of the costate, whose last
+entry b_N is about b_1 / N: up to 7e-11 relative in the powers at N = 140
+to 200, against a 40-digit KKT solve.  Empty stations always get zero power.
 """
 
 from __future__ import annotations
@@ -548,16 +548,17 @@ def _binding_solve(
     hint's Jacobian if it carries one.  Should it give up, or the start
     give it none (its start loads out of the floats included), a
     continuation runs in the headroom, v_t = 1 + t (v_limit - 1), from zero
-    load, where g_j = N - j, at t = 1/8 (Deuflhard, ch. 5): each step a
-    damped shot from the gradient start on the last converged loads, t's
-    step doubling on success and halving on failure.
+    load, at t = 1/8 (Deuflhard, ch. 5), t's step doubling on success and
+    halving on failure.  Each shot starts from the gradient start on zero
+    load, where g_j = N - j, until a step converges, and then from the
+    (b_2, log c) and Jacobian that step settled with, unmoved.
 
     Returns (loads, counts, V_N, (b_2, log c, b_N), Jacobian) with |slack|
     <= 1e-9 in squared-voltage units.  V_N is the settled sweep's, which
     has the bits of the adjoint pass on the loads, and no adjoint pass
     closes the solve; (b_2, log c, b_N) and the Jacobian are those of the
     shot that settled (None where one station or none is occupied).  The
-    continuation's shots, like every hint-less one, carry no Jacobian in.
+    continuation carries in no Jacobian but those its own steps settled with.
     Raises AllocationError: naming alpha (`_range_error`) where the closed
     form or the zero-load costate gives no start in the doubles; else
     naming the last (V_N - v_limit, costate ratio) pair and t, the
@@ -586,29 +587,28 @@ def _binding_solve(
     shot = None if start is None else _damped_shot(counts, inv_alpha, v_limit, *start, carried)
     t = 1.0
     if shot is None or not shot[0]:
-        q, v_n, grad = [0.0] * n, 1.0, [float(n - j) for j in range(n)]
         t, step = 0.0, 0.125
         while t < 1.0:
             t_next = min(t + step, 1.0)
             target = v_limit if t_next == 1.0 else 1.0 + t_next * (v_limit - 1.0)
-            start = _gradient_start(counts, active, inv_alpha, target, q, v_n, grad)
-            if start is None and t == 0.0:
-                raise _range_error(spec.alpha)
-            shot = None if start is None else _damped_shot(counts, inv_alpha, target, *start)
-            if shot is not None and shot[0]:
+            if t == 0.0:
+                grad = [float(n - j) for j in range(n)]
+                start = _gradient_start(counts, active, inv_alpha, target, [0.0] * n, 1.0, grad)
+                if start is None:
+                    raise _range_error(spec.alpha)
+            shot = _damped_shot(counts, inv_alpha, target, *start)
+            if shot[0]:
                 t, step = t_next, 2.0 * step
-                q = shot[1]
-                if t < 1.0:
-                    v_n, grad = _root_voltage_and_gradient(q)
+                start = shot[5:]  # the settled (b_2, log c) and Jacobian
             elif step > 2.0**-12:
                 step *= 0.5
             else:
                 break
-    if shot is not None and shot[0]:
+    if shot[0]:
         _, q, v_n, _, b_n, beta, ell, jac = shot
         if abs(cfg.w_limit - v_n * v_n) <= 1e-9:
             return tuple(q), counts, v_n, (beta, ell, b_n), jac
-    v_n, f2 = (math.nan, math.nan) if shot is None else shot[2:4]
+    v_n, f2 = shot[2:4]
     raise AllocationError(
         "costate shooting did not settle on the constraint: last (V_N - v_limit, "
         f"costate ratio) = ({v_n - v_limit:.6g}, {f2:.6g}), continuation at t = {t:g}"

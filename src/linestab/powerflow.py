@@ -19,7 +19,7 @@ tables pin its digits, rounding noise included, so the digits are
 reproduced, not exact (V[N] is off by about 3e-9 relative at N = 10^5).
 r enters only through the loads q = r p, so every pass runs on unit
 resistance: the adjoint pass `_root_voltage_and_gradient` on q, which the
-allocator calls only to start a solve that no settled shot starts; the
+allocator takes once a solve, where no settled shot gives the start; the
 uniform-load tangent pass of `distflow_sensitivity`, which the threshold
 solver's Newton steps call; and the value-only pass `_root_voltage`, for
 the callers that read V[N] alone: `voltage_slack`, the threshold solver's
@@ -221,11 +221,11 @@ def _uniform_root_voltage(a: float, n: int) -> float:
 def _root_voltage_and_gradient(q: Sequence[float]) -> tuple[float, list[float]]:
     """Unvalidated fused pass on the loads q = r p: V[N] and dV[N]/dq.
 
-    The allocator's binding solve calls it on its start where the last
-    solve's settled shot gives none (no hint, a station that gains its
-    first vehicle, or an O(1) warm start out of the doubles) and, in its
-    rare continuation, on each point reached; never on the point it
-    returns, whose V[N] the settled sweep gives with these bits.
+    The allocator's binding solve calls it once, on its first start, where
+    the last solve's settled shot gives none (no hint, a station that gains
+    its first vehicle, or an O(1) warm start out of the doubles); never in
+    its continuation, nor on the point it returns, whose V[N] the settled
+    sweep gives with these bits.
     A forward voltage pass, then one O(N) adjoint pass in
     a = dV[N]/dV[j+1], j = N-1 .. 0:
     g[j] = a / V[j] and a <- (2 - q[j] / V[j]^2) a - a_prev.

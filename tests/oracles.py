@@ -716,6 +716,27 @@ def hard_allocation_cases(seed: int, count: int) -> list:
     return cases
 
 
+def scale_allocation_cases(seed: int, count: int) -> list:
+    """A seeded mix of Distflow allocation inputs at the paper's scale: (x, alpha, cfg).
+
+    N is log-uniform over 10^3 to 3 10^3, delta uniform over 0.01 to 0.5
+    and alpha log-uniform over 0.5 to 2; each x_j is drawn from {0, 0, 1,
+    2, 5}, with at least one vehicle in every state.  r = 1, since the
+    binding solve runs on unit resistance whatever r is.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = int(math.exp(rng.uniform(math.log(1000.0), math.log(3000.0))))
+        delta = rng.uniform(0.01, 0.5)
+        alpha = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        x = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+        if not any(x):
+            x[rng.randrange(n)] = 1
+        cases.append((tuple(x), alpha, NetworkConfig(n, 1.0, delta)))
+    return cases
+
+
 def continuum_voltage(a: float, t: float) -> float:
     """Continuum squared-drop profile f0(t sqrt(a)) on the unit feeder.
 

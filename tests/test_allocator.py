@@ -34,6 +34,7 @@ from oracles import (
     grid_search_allocation,
     hard_allocation_cases,
     kkt_point_mp,
+    scale_allocation_cases,
 )
 
 ALPHAS = (0.5, 1.0, 2.0, 4.0)
@@ -549,24 +550,61 @@ class TestWarmChain:
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     def test_no_cold_solve_enters_the_phase(self, monkeypatch):
+        # a cold solve's first shot and the continuation's first carry no
+        # Jacobian in, so neither enters the quasi-Newton phase; every later
+        # continuation shot starts from the unknowns and Jacobian the last
+        # settled step returned, as a warm solve does
         phases = []
         phase = allocator._broyden_shot
 
-        def spy(*args):
-            phases.append(args)
+        def phase_spy(*args):
+            phases.append(args[5])
             return phase(*args)
 
-        monkeypatch.setattr(allocator, "_broyden_shot", spy)
+        shots = []
+        shot = allocator._damped_shot
+
+        def shot_spy(*args):
+            out = shot(*args)
+            shots.append((args[3:5], args[5] if len(args) > 5 else None, out))
+            return out
+
+        monkeypatch.setattr(allocator, "_broyden_shot", phase_spy)
+        monkeypatch.setattr(allocator, "_damped_shot", shot_spy)
+
+        def check_continuation(steps):
+            settled = None
+            for start, jac, out in steps:
+                if settled is None:
+                    # still at t = 0: the zero-load gradient start
+                    assert jac is None
+                else:
+                    assert (*start, jac) == settled
+                if out[0]:
+                    settled = out[5:]
+
+        carried = []
         for x, alpha, cfg in hard_allocation_cases(5, 200):
+            shots.clear()
             alpha_fair_distflow(x, FairnessSpec(alpha), cfg)
-        assert phases == []
-        # a hint that gives no start: the continuation shoots without the
-        # Jacobian the hint carries
-        targets = _spy_targets(monkeypatch)
+            if shots:
+                assert shots[0][1] is None
+                check_continuation(shots[1:])
+                carried += [jac for _, jac, _ in shots if jac is not None]
+        # case 194 (N = 27) continues, and its later steps enter the phase
+        assert carried and phases == carried
+        # a hint that gives no start: the continuation never carries the
+        # hint's Jacobian in
+        phases.clear()
+        shots.clear()
         hint = _hint([1e150, 1e-10, 1e-10], (1.0, 0.0, 0.0, 1.0))
         _binding_solve((1, 1, 1), FairnessSpec(0.3), NetworkConfig(3, 1.0, 0.1), hint)
-        assert len(targets) > 1 and phases == []
+        assert len(shots) > 1
+        assert all(jac is not hint[4] for _, jac, _ in shots)
+        check_continuation(shots)
+        assert phases == [jac for _, jac, _ in shots if jac is not None]
         # a simulator run's first solve is cold, its next miss warm
+        phases.clear()
         solve = _make_allocator(PowerModel.DISTFLOW, FairnessSpec(1.0), NetworkConfig(5, 1.0, 0.1))
         solve((1, 2, 3, 4, 5))
         assert phases == []
@@ -704,13 +742,15 @@ class TestHardMix:
     @pytest.mark.parametrize("seed", [5, 7])
     def test_every_cold_solve_settles(self, monkeypatch, seed):
         shots = _spy_shooting(monkeypatch)
+        gradients = _count_gradients(monkeypatch)
         solved = unsettled = 0
         for x, alpha, cfg in hard_allocation_cases(seed, 1700):
-            if cfg.n_stations > 80:
-                continue
-            first = len(shots)
+            first, passes = len(shots), len(gradients)
             p, _, v_n = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
-            if cfg.n_stations > 1:  # one station takes its closed form unshot
+            # one adjoint pass starts the first shot, and the continuation
+            # takes none; one station takes its closed form unshot
+            assert len(gradients) - passes == (cfg.n_stations > 1)
+            if cfg.n_stations > 1:
                 unsettled += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
             grad = _root_voltage_and_gradient(list(p))[1]
@@ -736,6 +776,43 @@ class TestHardMix:
         grad = _root_voltage_and_gradient(list(p))[1]
         ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
         assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+
+
+class TestScaleMix:
+    """`oracles.scale_allocation_cases` at seed 2: N 10^3 to 3 10^3, delta up
+    to 1/2.  Two of its twelve cold shots give up (N = 2858 and 1533), and
+    the continuation settles them in 2952 and 915 sweeps, where one that
+    restarted each step from a fresh adjoint gradient took 180606 and 7989."""
+
+    SWEEPS = 5000  # `_shoot` plus `_shoot_values` sweeps a solve may take
+
+    def test_every_solve_settles_in_bounded_sweeps(self, monkeypatch):
+        count = [0]
+
+        def spy(sweep):
+            def counted(*args):
+                count[0] += 1
+                # stop a runaway solve here rather than let it run for minutes
+                assert count[0] <= self.SWEEPS, "the solve exceeds its sweep bound"
+                return sweep(*args)
+
+            return counted
+
+        for name in ("_shoot", "_shoot_values"):
+            monkeypatch.setattr(allocator, name, spy(getattr(allocator, name)))
+        shots = _spy_shooting(monkeypatch)
+        gave_up = 0
+        for x, alpha, cfg in scale_allocation_cases(2, 12):
+            count[0] = 0
+            first = len(shots)
+            p, _, v_n = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
+            gave_up += shots[first] is None
+            assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
+            grad = _root_voltage_and_gradient(list(p))[1]
+            # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
+            ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
+            assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+        assert gave_up == 2
 
 
 class TestTinyAlpha:
