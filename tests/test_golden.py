@@ -20,6 +20,12 @@ ALLOCATE_CASES = [
     # the README example
     ("allocate_readme.csv", ["--x", "3,0,1,2", "--alpha", "2", "--delta", "0.15"]),
     ("allocate_n20.csv", ["--x", N20_OCCUPANCY, "--alpha", "0.5", "--delta", "0.15"]),
+    # the first shot gives up, and the continuation from zero load settles
+    # in four more shots
+    (
+        "allocate_continuation.csv",
+        ["--x", "3,6,11,20,36,66,119,217,395,716", "--alpha", "0.3", "--delta", "0.45"],
+    ),
 ]
 
 
