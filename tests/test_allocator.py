@@ -735,6 +735,14 @@ class TestColdStart:
 
 
 
+def _assert_stationary(p, x, alpha) -> None:
+    """Stationarity on unit resistance: (p_j / x_j)^(-alpha) / g_j is one
+    multiplier over the occupied stations, to 1e-8."""
+    grad = _root_voltage_and_gradient(list(p))[1]
+    ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
+    assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+
+
 class TestHardMix:
     """The seeded stress mix of `oracles.hard_allocation_cases`: delta up to
     1/2, alpha 0.25 to 4, sparse, geometric and heavy occupancies."""
@@ -753,10 +761,7 @@ class TestHardMix:
             if cfg.n_stations > 1:
                 unsettled += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
-            grad = _root_voltage_and_gradient(list(p))[1]
-            # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
-            ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
-            assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+            _assert_stationary(p, x, alpha)
             solved += 1
         assert solved > 1300
         # the first shot gives up on a few solves, and the continuation
@@ -773,9 +778,7 @@ class TestHardMix:
         assert len(shots) == 1 and shots[0] is not None
         assert abs(shots[0][2] - cfg.v_limit) >= 1e-12 * cfg.v_limit
         assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
-        grad = _root_voltage_and_gradient(list(p))[1]
-        ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
-        assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+        _assert_stationary(p, x, alpha)
 
 
 class TestScaleMix:
@@ -808,10 +811,7 @@ class TestScaleMix:
             p, _, v_n = _binding_solve(x, FairnessSpec(alpha), cfg)[:3]
             gave_up += shots[first] is None
             assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
-            grad = _root_voltage_and_gradient(list(p))[1]
-            # stationarity: (p_j / x_j)^(-alpha) / g_j is the one multiplier
-            ratios = [(p[j] / x[j]) ** -alpha / grad[j] for j in range(len(x)) if x[j] > 0]
-            assert max(ratios) / min(ratios) - 1.0 <= 1e-8
+            _assert_stationary(p, x, alpha)
         assert gave_up == 2
 
 
