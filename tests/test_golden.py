@@ -115,6 +115,13 @@ def test_stable_simulate_bytes(tmp_path):
     _check_simulate_bytes(tmp_path, "simulate_stable.csv", "0.5")
 
 
+def test_stable_simulate_bytes_n20(tmp_path):
+    # a stable 20-station feeder: between two misses the run revisits
+    # cached states, so a hint is often stale, having gained one station
+    # and emptied another
+    _check_simulate_bytes(tmp_path, "simulate_stable_n20.csv", "0.5", n="20", events="2000")
+
+
 def test_lindist_simulate_bytes(tmp_path):
     # the simulator's own Lindist split, overloaded
     _check_simulate_bytes(tmp_path, "simulate_lindist.csv", "2.0", model="lindist")
