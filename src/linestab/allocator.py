@@ -15,10 +15,9 @@ and `_powers` divides them by r.  One station takes the whole headroom;
 every other Distflow solve shoots on two unknowns, as below.  A warm solve,
 handed the previous solve's return as a hint by the simulator, starts from
 the unknowns that solve settled on, with log c moved in O(1) for the counts
-that changed.  Where a station gains its first vehicle, where that move
-leaves the doubles, and without a hint, the start takes a solve's one O(N)
-adjoint gradient, on loads with their V_N: the hint's loads, else the
-linearized closed form.
+that changed.  Every other start is the cold one, a solve's one O(N)
+adjoint gradient on the linearized closed form: without a hint, where a
+station gains its first vehicle, and where that move leaves the doubles.
 
 The KKT conditions are a two-point recursion: voltages run out from the
 far end, and the costate b_k = dV_N/dV_k obeys the adjoint recursion,
@@ -537,28 +536,28 @@ def _binding_solve(
 
     Every loop runs on the loads q = r p; cfg's r is never read.  One
     station takes the whole headroom, q_0 = v_limit - 1.  Else ``hint`` is
-    the previous solve's return, typically one vehicle away.  Where every
-    station occupied now was occupied in the hint's state, the shot starts
-    from the hint's settled unknowns, log c moved in O(1) (`_warm_start`).
-    Else, or where that formula leaves the doubles, the start keeps the
-    hint's loads at the occupied stations, zero elsewhere, and takes one
-    adjoint gradient on them (`_gradient_start`); without a hint it takes
-    that gradient on the linearized closed form on the unit weights 2 (N -
-    j).  One `_damped_shot` runs from the start, stepped first with the
-    hint's Jacobian if it carries one.  Should it give up, or the start
-    give it none (its start loads out of the floats included), a
-    continuation runs in the headroom, v_t = 1 + t (v_limit - 1), from zero
-    load, at t = 1/8 (Deuflhard, ch. 5), t's step doubling on success and
-    halving on failure.  Each shot starts from the gradient start on zero
-    load, where g_j = N - j, until a step converges, and then from the
-    (b_2, log c) and Jacobian that step settled with, unmoved.
+    the previous solve's return, typically one vehicle away, read only
+    through its settled shot and its Jacobian.  Where every station
+    occupied now was occupied in the hint's state, the shot starts from
+    the hint's settled unknowns, log c moved in O(1) (`_warm_start`).
+    Every other start, a hint-less one included, is the cold one: one
+    adjoint gradient on the linearized closed form on the unit weights 2
+    (N - j) (`_gradient_start`).  One `_damped_shot` runs from the start,
+    stepped first with the hint's Jacobian if it carries one.  Should it
+    give up, or the start give it none, a continuation runs in the
+    headroom, v_t = 1 + t (v_limit - 1), from zero load, at t = 1/8
+    (Deuflhard, ch. 5), t's step doubling on success and halving on
+    failure.  Each shot starts from the gradient start on zero load, where
+    g_j = N - j, until a step converges, and then from the (b_2, log c)
+    and Jacobian that step settled with, unmoved.
 
     Returns (loads, counts, V_N, (b_2, log c, b_N), Jacobian) with |slack|
     <= 1e-9 in squared-voltage units.  V_N is the settled sweep's, which
     has the bits of the adjoint pass on the loads, and no adjoint pass
     closes the solve; (b_2, log c, b_N) and the Jacobian are those of the
-    shot that settled (None where one station or none is occupied).  The
-    continuation carries in no Jacobian but those its own steps settled with.
+    shot that settled (None where the feeder has one station or no
+    station is occupied).  The continuation carries in no Jacobian but
+    those its own steps settled with.
     Raises AllocationError: naming alpha (`_range_error`) where the closed
     form or the zero-load costate gives no start in the doubles; else
     naming the last (V_N - v_limit, costate ratio) pair and t, the
@@ -577,10 +576,7 @@ def _binding_solve(
     inv_alpha = 1.0 / spec.alpha
     start = None if hint is None else _warm_start(counts, spec.alpha, hint)
     if start is None:
-        if hint is None:
-            q = _lin_split(counts, spec.alpha, cfg.w_headroom)
-        else:
-            q = [hint[0][j] if counts[j] > 0 else 0.0 for j in range(n)]
+        q = _lin_split(counts, spec.alpha, cfg.w_headroom)
         v_n, grad = _root_voltage_and_gradient(q)
         start = _gradient_start(counts, active, inv_alpha, v_limit, q, v_n, grad)
     carried = None if hint is None else hint[4]

@@ -171,8 +171,8 @@ def _make_allocator(
     unknowns its shot settled on, which, moved for the counts that changed,
     start the next shot, and the Jacobian that shot ended with, which steps
     it.  Where the miss occupies a station the last solve left empty, the
-    start takes one adjoint gradient on the last solve's loads instead.  A
-    hit, the empty feeder included, leaves that hint as it is.  Either
+    shot takes the cold start instead, one adjoint gradient on the closed
+    form.  A hit, the empty feeder included, leaves that hint as it is.  Either
     split raises AllocationError where its public allocator does, with its
     message: naming alpha, a station's power at the true r, or Distflow's
     last residuals.

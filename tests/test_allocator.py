@@ -16,6 +16,7 @@ from linestab.allocator import (
     alpha_fair_distflow,
     alpha_fair_lindist,
     _binding_solve,
+    _lin_split,
 )
 from linestab.powerflow import (
     NetworkConfig,
@@ -266,12 +267,15 @@ class TestDistflowAllocator:
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
 
-    def test_overflowing_hint_is_solved_from_zero_load(self):
-        # the hint's V_N is infinite, so it gives no start; the continuation
-        # from zero load solves the state
+    def test_overflowing_hint_is_solved_from_the_cold_start(self, monkeypatch):
+        # the hint's V_N is infinite and it carries no settled shot, so the
+        # solve starts from the closed form and settles in one shot at the
+        # cap, with no continuation
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(1.0)
+        targets = _spy_targets(monkeypatch)
         solved = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))
+        assert targets == [cfg.v_limit]
         _assert_settled(solved, spec)
         p = solved[0]
         want, _ = _dual_solve((1, 2, 3), spec, cfg)
@@ -336,9 +340,9 @@ def _last_residual(message: str) -> tuple[float, float]:
     return float(found[1]), float(found[2])
 
 
-def _hint(q, jac=None):
-    """A binding-solve hint made from bare loads and a Jacobian, with no settled shot."""
-    return (tuple(q), tuple(int(v > 0.0) for v in q), _root_voltage(q), None, jac)
+def _hint(q):
+    """A binding-solve hint made from bare loads, with no settled shot and no Jacobian."""
+    return (tuple(q), tuple(int(v > 0.0) for v in q), _root_voltage(q), None, None)
 
 
 def _assert_settled(solved, spec) -> None:
@@ -438,14 +442,13 @@ def _check_walk(monkeypatch, n: int, alpha: float, delta: "float | None" = None)
     gradients = _count_gradients(monkeypatch)
     for prev, x in zip(states, states[1:]):
         before = len(gradients)
-        hint, solved = solved, _binding_solve(x, spec, cfg, solved)
+        solved = _binding_solve(x, spec, cfg, solved)
         _assert_settled(solved, spec)
         p = [q / cfg.resistance for q in solved[0]]
         if any(b and not a for a, b in zip(prev, x)):
-            # a newly occupied station: one adjoint pass on the hint's
-            # loads starts the shot
-            kept = tuple(h if b else 0.0 for h, b in zip(hint[0], x))
-            assert gradients[before:] == [kept]
+            # a newly occupied station: the cold start, one adjoint pass on
+            # the closed form, starts the shot
+            assert gradients[before:] == [tuple(_lin_split(x, alpha, cfg.w_headroom))]
         else:
             # the hint's settled shot starts this one; no pass is taken
             assert len(gradients) == before
@@ -520,9 +523,9 @@ class TestWarmChain:
         assert sweeps
         assert all(math.isfinite(v) for v in jac)
         # a finite J_12 moves the hint's log c; J_12 = 0 or nan leaves the
-        # warm formula no start, and one adjoint pass on the hint's loads
-        # gives it instead
-        assert gradients == [hint[0]] * passes
+        # warm formula no start, and the cold start, one adjoint pass on the
+        # closed form, gives it instead
+        assert gradients == [tuple(_lin_split(states[1], spec.alpha, cfg.w_headroom))] * passes
         _assert_settled(solved, spec)
         assert abs(cfg.w_limit - v_n * v_n) <= 1e-9
         want, _ = _dual_solve(states[1], spec, cfg)
@@ -530,12 +533,10 @@ class TestWarmChain:
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
     @pytest.mark.parametrize("shift", [1000.0, -1000.0], ids=["g-underflows", "g-overflows"])
-    def test_a_stationarity_gradient_out_of_the_floats_takes_the_gradient_start(
-        self, monkeypatch, shift
-    ):
-        # e^(-log c) underflows to 0 or overflows, so no g_k of the warm
-        # formula is a double: one adjoint pass on the hint's loads starts
-        # the shot instead
+    def test_g_out_of_the_floats_takes_the_cold_start(self, monkeypatch, shift):
+        # e^(-log c) underflows to 0 or overflows, so no stationarity
+        # gradient g_k of the warm formula is a double: the cold start, one
+        # adjoint pass on the closed form, starts the shot instead
         cfg, states = _one_vehicle_walk(20, 1.0)
         spec = FairnessSpec(1.0)
         loads, was, v_n, (beta, ell, b_n), jac = _binding_solve(states[0], spec, cfg)
@@ -543,7 +544,7 @@ class TestWarmChain:
         assert allocator._warm_start(states[1], spec.alpha, hint) is None
         gradients = _count_gradients(monkeypatch)
         solved = _binding_solve(states[1], spec, cfg, hint)
-        assert gradients == [tuple(q if x else 0.0 for q, x in zip(loads, states[1]))]
+        assert gradients == [tuple(_lin_split(states[1], spec.alpha, cfg.w_headroom))]
         _assert_settled(solved, spec)
         want, _ = _dual_solve(states[1], spec, cfg)
         for a, b in zip(solved[0], want):
@@ -593,15 +594,19 @@ class TestWarmChain:
                 carried += [jac for _, jac, _ in shots if jac is not None]
         # case 194 (N = 27) continues, and its later steps enter the phase
         assert carried and phases == carried
-        # a hint that gives no start: the continuation never carries the
-        # hint's Jacobian in
+        # a real hint that has lost station 0, so the solve takes the cold
+        # start, whose shot gives up: that first shot carries the hint's
+        # Jacobian in, and the continuation never does
+        x = (3, 6, 11, 20, 36, 66, 119, 217, 395, 716)
+        spec, cfg = FairnessSpec(0.3), NetworkConfig(10, 1.0, 0.45)
+        hint = _binding_solve((0, *x[1:]), spec, cfg)
         phases.clear()
         shots.clear()
-        hint = _hint([1e150, 1e-10, 1e-10], (1.0, 0.0, 0.0, 1.0))
-        _binding_solve((1, 1, 1), FairnessSpec(0.3), NetworkConfig(3, 1.0, 0.1), hint)
+        _binding_solve(x, spec, cfg, hint)
+        assert shots[0][1] is hint[4] and not shots[0][2][0]
         assert len(shots) > 1
-        assert all(jac is not hint[4] for _, jac, _ in shots)
-        check_continuation(shots)
+        assert all(jac is not hint[4] for _, jac, _ in shots[1:])
+        check_continuation(shots[1:])
         assert phases == [jac for _, jac, _ in shots if jac is not None]
         # a simulator run's first solve is cold, its next miss warm
         phases.clear()
@@ -634,20 +639,14 @@ class TestWarmChain:
         for a, b in zip(loads, want):
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
-    def test_hint_whose_costate_overflows_pow_falls_back(self, monkeypatch):
-        # gradient ratios near 1e-151 raised to 1/alpha = 3.3 overflow a
-        # double, so the hint gives no start and nothing is shot from it; the
-        # solve falls back to the continuation from zero load, whose first
-        # target is v_1/8
+    def test_a_hint_with_no_settled_shot_gives_the_cold_solve(self):
+        # the solve reads a hint only through its settled shot and its
+        # Jacobian: with neither, whatever its loads, the solve is the
+        # hint-less one, bit for bit
         cfg = NetworkConfig(3, 1.0, 0.1)
         spec = FairnessSpec(0.3)
-        targets = _spy_targets(monkeypatch)
-        p = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10]))[0]
-        assert targets[0] == 1.0 + 0.125 * (cfg.v_limit - 1.0)
-        assert targets[-1] == cfg.v_limit
-        want, _ = _dual_solve((1, 1, 1), spec, cfg)
-        for a, b in zip(p, want):
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
+        warm = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10]))
+        assert repr(warm) == repr(_binding_solve((1, 1, 1), spec, cfg))
 
     def test_newly_emptied_station_moves_the_carried_start(self, monkeypatch):
         # the emptied station's load leaves V_N through its own g_1 q_1, so
@@ -682,6 +681,20 @@ class TestWarmChain:
         for a, b in zip(solved[0], want):
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
+    def test_stale_hints_take_the_cold_start(self, monkeypatch):
+        # a stable 20-station run revisits cached states between misses, and
+        # a hit leaves the hint as it is, so a miss's hint may have gained one
+        # station and emptied another.  Such a solve starts from the closed
+        # form, and the run takes 888 two-tangent sweeps; a start from the
+        # hint's loads, with the new station unpowered, took 3216
+        sweeps = _count_tangent_sweeps(monkeypatch)
+        argv = [
+            "simulate", "--model", "distflow", "--n", "20", "--delta", "0.1",
+            "--mult", "0.5", "--replications", "1", "--events", "2000", "--seed", "7",
+        ]
+        assert main(argv) == 0
+        assert len(sweeps) <= 1500
+
     def _newly_occupied(self):
         # station 2 was empty in the hint's state, so the hint leaves it
         # unpowered; no station has emptied
@@ -693,13 +706,22 @@ class TestWarmChain:
 
     def test_newly_occupied_station_shoots_from_the_hint(self, monkeypatch):
         cfg, spec, hint, x = self._newly_occupied()
-        shots = _spy_shooting(monkeypatch)
+        carried = []
+        shot = allocator._damped_shot
+
+        def spy(*args):
+            out = shot(*args)
+            carried.append((args[5], out[0]))
+            return out
+
+        monkeypatch.setattr(allocator, "_damped_shot", spy)
         gradients = _count_gradients(monkeypatch)
         q = _binding_solve(x, spec, cfg, hint)[0]
-        # the new station's g is not known from stationarity: one adjoint
-        # pass on the hint's loads starts the shot, and none closes it
-        assert len(shots) == 1 and shots[0] is not None
-        assert gradients == [hint[0]]
+        # the new station's g is not known from stationarity: the cold start,
+        # one adjoint pass on the closed form, starts the one shot, which
+        # steps with the hint's Jacobian; no pass closes it
+        assert carried == [(hint[4], True)]
+        assert gradients == [tuple(_lin_split(x, spec.alpha, cfg.w_headroom))]
         p = [v / cfg.resistance for v in q]
         slack = voltage_slack(p, cfg, PowerModel.DISTFLOW)
         assert abs(slack) <= 1e-9
@@ -711,8 +733,8 @@ class TestWarmChain:
 
 class TestColdStart:
     """A hint-less solve starts its shot from the linearized closed form,
-    with one adjoint gradient taken there, just as a warm solve whose hint
-    gains a station starts from the hint's loads."""
+    with one adjoint gradient taken there; so does a warm solve whose hint
+    gives no start from its settled shot, a gained station included."""
 
     CASES = [
         ((3, 0, 1, 2), 2.0, NetworkConfig(4, 1.0, 0.15)),

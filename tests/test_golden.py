@@ -111,7 +111,7 @@ def test_overloaded_simulate_bytes_n20(tmp_path):
 
 def test_stable_simulate_bytes(tmp_path):
     # at half the threshold stations empty and refill: 124 of the 266 warm
-    # solves start from a hint that leaves a newly occupied station unpowered
+    # solves gain a station since their hint and take the cold start
     _check_simulate_bytes(tmp_path, "simulate_stable.csv", "0.5")
 
 
