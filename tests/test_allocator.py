@@ -267,21 +267,6 @@ class TestDistflowAllocator:
         for a, b in zip(warm, fresh):
             assert a == pytest.approx(b, rel=1e-6, abs=1e-300)
 
-    def test_overflowing_hint_is_solved_from_the_cold_start(self, monkeypatch):
-        # the hint's V_N is infinite and it carries no settled shot, so the
-        # solve starts from the closed form and settles in one shot at the
-        # cap, with no continuation
-        cfg = NetworkConfig(3, 1.0, 0.1)
-        spec = FairnessSpec(1.0)
-        targets = _spy_targets(monkeypatch)
-        solved = _binding_solve((1, 2, 3), spec, cfg, _hint([math.inf] * 3))
-        assert targets == [cfg.v_limit]
-        _assert_settled(solved, spec)
-        p = solved[0]
-        want, _ = _dual_solve((1, 2, 3), spec, cfg)
-        for a, b in zip(p, want):
-            assert a == pytest.approx(b, rel=1e-7, abs=1e-15)
-
     def test_a_shot_that_gives_up_raises_with_its_last_residual(self, monkeypatch):
         _off_by_one_shots(monkeypatch)
         with pytest.raises(AllocationError) as info:
@@ -418,19 +403,6 @@ def _spy_shooting(monkeypatch) -> list:
 
     monkeypatch.setattr(allocator, "_damped_shot", spy)
     return results
-
-
-def _spy_targets(monkeypatch) -> list:
-    """Record the V_N target of every damped shot."""
-    targets = []
-    shot = allocator._damped_shot
-
-    def spy(*args):
-        targets.append(args[2])
-        return shot(*args)
-
-    monkeypatch.setattr(allocator, "_damped_shot", spy)
-    return targets
 
 
 def _check_walk(monkeypatch, n: int, alpha: float, delta: "float | None" = None) -> None:
@@ -639,14 +611,19 @@ class TestWarmChain:
         for a, b in zip(loads, want):
             assert a / cfg.resistance == pytest.approx(b, rel=1e-7, abs=1e-15)
 
-    def test_a_hint_with_no_settled_shot_gives_the_cold_solve(self):
+    @pytest.mark.parametrize(
+        "x,alpha,loads",
+        [((1, 2, 3), 1.0, [math.inf] * 3), ((1, 1, 1), 0.3, [1e150, 1e-10, 1e-10])],
+        ids=["inf", "far"],
+    )
+    def test_a_hint_with_no_settled_shot_gives_the_cold_solve(self, x, alpha, loads):
         # the solve reads a hint only through its settled shot and its
-        # Jacobian: with neither, whatever its loads, the solve is the
-        # hint-less one, bit for bit
+        # Jacobian: with neither, whatever its loads (with an infinite V_N,
+        # or 1e160 apart), the solve is the hint-less one, bit for bit
         cfg = NetworkConfig(3, 1.0, 0.1)
-        spec = FairnessSpec(0.3)
-        warm = _binding_solve((1, 1, 1), spec, cfg, _hint([1e150, 1e-10, 1e-10]))
-        assert repr(warm) == repr(_binding_solve((1, 1, 1), spec, cfg))
+        spec = FairnessSpec(alpha)
+        warm = _binding_solve(x, spec, cfg, _hint(loads))
+        assert repr(warm) == repr(_binding_solve(x, spec, cfg))
 
     def test_newly_emptied_station_moves_the_carried_start(self, monkeypatch):
         # the emptied station's load leaves V_N through its own g_1 q_1, so
